@@ -36,6 +36,7 @@
 package anneal
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
@@ -106,6 +107,17 @@ type Config struct {
 	// move loop never touches it — so instrumentation can neither slow
 	// the hot path nor perturb results. Never hashed into artifact keys.
 	Obs *obs.Registry
+	// Ctx, when non-nil, cuts the run short: it is checked once per batch
+	// (once per temperature round on the serial loop of plain Movers),
+	// and a cancelled run returns with the state as the last whole batch
+	// left it. Run reports no error — callers that cancel check Ctx.Err()
+	// and discard the state. Never hashed into artifact keys.
+	Ctx context.Context
+}
+
+// canceled reports whether the run's context has been cancelled.
+func (c *Config) canceled() bool {
+	return c.Ctx != nil && c.Ctx.Err() != nil
 }
 
 // observe records one finished run's RunStats into the registry.
@@ -187,7 +199,7 @@ func Run(mv Mover, cfg Config, rng *rand.Rand) RunStats {
 	}
 
 	var stats RunStats
-	for {
+	for !cfg.canceled() {
 		for m := 0; m < sch.Moves; m++ {
 			d, ok := mv.TryMove(rng, sch.RLim)
 			if !ok {

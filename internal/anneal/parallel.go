@@ -177,6 +177,9 @@ func runBatched(mv BatchMover, cfg Config, sch *Schedule, rng *rand.Rand, span i
 	)
 	for {
 		for m := 0; m < sch.Moves; {
+			if cfg.canceled() {
+				return stats
+			}
 			n := batchMoves
 			if rem := sch.Moves - m; rem < n {
 				n = rem

@@ -1,10 +1,14 @@
 package flow
 
 import (
+	"context"
 	"fmt"
+	"runtime"
+	"strconv"
 
 	"repro/internal/lutnet"
 	"repro/internal/merge"
+	"repro/internal/obs"
 )
 
 // Comparison bundles the three implementations of one multi-mode circuit
@@ -29,7 +33,11 @@ type Comparison struct {
 // accounting. When widening alone does not converge (input-pin congestion
 // of an N-mode merge does not scale with channel width — a CLB has K pins
 // at any W), the last attempts re-anneal with a perturbed seed instead;
-// runs that succeed within the widening attempts are unaffected.
+// runs that succeed within the widening attempts are unaffected. Each
+// attempt is a pure function of its index (attemptCfg), so when the
+// process can run two goroutines in parallel the attempts run as a
+// ladder, two at a time, keeping the lowest success and cancelling the
+// rest; the result is byte-identical to trying them one by one.
 //
 // With Config.Baseline set, the compile first attempts the delta path
 // (see delta.go): reuse the baseline's region, transfer its placements
@@ -44,6 +52,9 @@ func RunComparison(name string, modes []*lutnet.Circuit, cfg Config) (*Compariso
 		if err == nil {
 			return cmp, nil
 		}
+		if cerr := cfg.ctxErr(); cerr != nil {
+			return nil, cerr // cancelled, not a baseline miss
+		}
 		if cfg.Cache != nil {
 			cfg.Cache.baselineMisses.Add(1)
 		}
@@ -56,35 +67,109 @@ func RunComparison(name string, modes []*lutnet.Circuit, cfg Config) (*Compariso
 	return runComparisonCold(name, modes, cfg)
 }
 
+// The cold retry ladder: attempt 0 runs on the sized region, attempts
+// 1..ladderWidenings each widen the channel by two more tracks, and the
+// remaining attempts re-anneal on the widest region.
+const (
+	ladderAttempts  = 10
+	ladderWidenings = 6
+)
+
+// attemptCfg returns the configuration and channel width of attempt k of
+// the cold retry ladder, given the filled configuration and the sized
+// channel width w0. Every attempt is a pure function of k — that is what
+// lets RunComparison run them out of order — and equals the state the
+// original serial loop reached cumulatively: +2 tracks per failed
+// attempt up to attempt ladderWidenings, then per further attempt the
+// seed advanced by 7919 and the router's iteration budget doubled for
+// these near-capacity instances.
+func attemptCfg(cfg Config, w0, k int) (Config, int) {
+	if k <= ladderWidenings {
+		return cfg, w0 + 2*k
+	}
+	r := k - ladderWidenings
+	cfg.Seed += 7919 * int64(r)
+	cfg.RouteOpts.MaxIters <<= r
+	return cfg, w0 + 2*ladderWidenings
+}
+
+// ladderWidth is how many cold attempts run at once: two when the process
+// can run two goroutines in parallel, else one (the serial loop). The
+// second slot runs attempt k+1 while attempt k is still undecided, which
+// hides the time a cold compile spends in failed routes; results are the
+// same either way.
+func ladderWidth() int {
+	if runtime.GOMAXPROCS(0) >= 2 {
+		return 2
+	}
+	return 1
+}
+
 func runComparisonCold(name string, modes []*lutnet.Circuit, cfg Config) (*Comparison, error) {
 	region, err := SizeRegion(modes, cfg)
 	if err != nil {
 		return nil, err
 	}
-	minW := region.MinW
-	for attempt := 0; ; attempt++ {
-		cmp := &Comparison{Region: region}
-		cmp.MDR, err = RunMDR(modes, region, cfg)
-		if err == nil {
-			cmp.EdgeMatch, err = RunDCS(name, modes, region, merge.EdgeMatch, cfg)
+	ctx := cfg.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	traces := make([]*obs.Trace, ladderAttempts)
+	cmp, outcomes, err := ladder(ctx, ladderAttempts, ladderWidth(), func(ctx context.Context, k int) (*Comparison, error) {
+		acfg, w := attemptCfg(cfg, region.Arch.W, k)
+		acfg.Ctx = ctx
+		acfg.Trace = cfg.Trace.Fork()
+		traces[k] = acfg.Trace
+		return runAttempt(name, modes, region, acfg, w)
+	})
+	var attempts *obs.CounterVec
+	if cfg.Obs != nil {
+		attempts = cfg.Obs.CounterVec("mm_flow_attempts_total",
+			"Cold compile retry attempts by outcome: won, failed, or canceled (discarded after a lower attempt won).",
+			"outcome")
+	}
+	for k, o := range outcomes {
+		if attempts != nil {
+			attempts.With(o).Inc()
 		}
-		if err == nil {
-			cmp.WireLen, err = RunDCS(name, modes, region, merge.WireLength, cfg)
-		}
-		if err == nil {
-			region.MinW = minW
-			return cmp, nil
-		}
-		if attempt >= 9 {
-			return nil, fmt.Errorf("flow: %s: %w", name, err)
-		}
-		if attempt < 6 {
-			region = cfg.NewRegion(region.Arch.Width, region.Arch.W+2)
-		} else {
-			// Deterministic re-anneal on the widest region, with a router
-			// iteration budget raised for these near-capacity instances.
-			cfg.Seed += 7919
-			cfg.RouteOpts.MaxIters = 2 * cfg.RouteOpts.MaxIters
+		if o != outcomeCanceled {
+			cfg.Trace.Adopt(traces[k], "attempt", strconv.Itoa(k), "outcome", o)
 		}
 	}
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("flow: %s: %w", name, err)
+	}
+	cmp.Region.MinW = region.MinW
+	return cmp, nil
+}
+
+// runAttempt is one attempt of the cold ladder: MDR and both DCS flows on
+// the sized region widened to channel width w. The context is checked
+// between the flows, so a cancelled attempt does not start the next one.
+func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config, w int) (*Comparison, error) {
+	region := sized
+	if w != sized.Arch.W {
+		region = cfg.NewRegion(sized.Arch.Width, w)
+	}
+	cmp := &Comparison{Region: region}
+	var err error
+	if cmp.MDR, err = RunMDR(modes, region, cfg); err != nil {
+		return nil, err
+	}
+	if err := cfg.ctxErr(); err != nil {
+		return nil, err
+	}
+	if cmp.EdgeMatch, err = RunDCS(name, modes, region, merge.EdgeMatch, cfg); err != nil {
+		return nil, err
+	}
+	if err := cfg.ctxErr(); err != nil {
+		return nil, err
+	}
+	if cmp.WireLen, err = RunDCS(name, modes, region, merge.WireLength, cfg); err != nil {
+		return nil, err
+	}
+	return cmp, nil
 }

@@ -219,7 +219,7 @@ func runMDRDelta(modes []*lutnet.Circuit, region *Region, cfg Config, base *Base
 			pl, err = place.Place(prob, region.Arch, place.Options{
 				Seed: cfg.Seed + int64(mi), Effort: cfg.PlaceEffort,
 				Workers: cfg.PlaceWorkers, Init: init, WarmStart: true,
-				Obs: cfg.Obs,
+				Obs: cfg.Obs, Ctx: cfg.Ctx,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("flow: delta MDR mode %d: %w", mi, err)
@@ -281,7 +281,7 @@ func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge
 	mres, err := merge.CombinedPlace(name, modes, region.Arch, merge.Options{
 		Seed: cfg.Seed, Effort: cfg.PlaceEffort, Objective: obj,
 		Workers: cfg.PlaceWorkers, Init: inits, WarmStart: true,
-		Obs: cfg.Obs,
+		Obs: cfg.Obs, Ctx: cfg.Ctx,
 	})
 	sp.End()
 	if err != nil {

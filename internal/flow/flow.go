@@ -15,6 +15,7 @@
 package flow
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -81,9 +82,27 @@ type Config struct {
 	// they never feed back into any algorithm and are excluded from every
 	// artifact key. A Trace must not be shared by concurrent compiles —
 	// the flow's stages are serial within one compile, which is what the
-	// span nesting relies on.
+	// span nesting relies on (RunComparison's concurrent retry attempts
+	// each record into a forked trace, adopted when they are joined).
 	Obs   *obs.Registry
 	Trace *obs.Trace
+	// Ctx, when non-nil, cancels the compile. It is propagated into
+	// RouteOpts and every uncached placement and checked only at
+	// boundaries no trajectory depends on — negotiation iterations,
+	// anneal batches, and between the flows of a comparison attempt — so
+	// it can stop a compile but never change what a finished one
+	// returns. Cached per-mode placements run to completion, because
+	// their result is shared. Like Obs and Trace it is excluded from
+	// every artifact key.
+	Ctx context.Context
+}
+
+// ctxErr returns the compile context's error, nil without a context.
+func (c Config) ctxErr() error {
+	if c.Ctx == nil {
+		return nil
+	}
+	return c.Ctx.Err()
 }
 
 func (c Config) filled() Config {
@@ -114,6 +133,9 @@ func (c Config) filled() Config {
 	}
 	if c.RouteOpts.Obs == nil {
 		c.RouteOpts.Obs = c.Obs
+	}
+	if c.Ctx != nil {
+		c.RouteOpts.Ctx = c.Ctx
 	}
 	return c
 }
@@ -190,6 +212,9 @@ func SizeRegion(modes []*lutnet.Circuit, cfg Config) (*Region, error) {
 	}
 	lo, hi := 2, 4
 	for !routable(hi) {
+		if err := cfg.ctxErr(); err != nil {
+			return nil, err
+		}
 		lo = hi + 1
 		hi *= 2
 		if hi > 128 {
@@ -203,6 +228,11 @@ func SizeRegion(modes []*lutnet.Circuit, cfg Config) (*Region, error) {
 		} else {
 			lo = mid + 1
 		}
+	}
+	// A cancelled probe reads as unroutable, so a cancelled bisection
+	// must not be trusted.
+	if err := cfg.ctxErr(); err != nil {
+		return nil, err
 	}
 	minW := hi
 	w := int(float64(minW)*cfg.RelaxW + 0.999)
@@ -248,7 +278,7 @@ func placeCircuit(c *lutnet.Circuit, a arch.Arch, cfg Config, seedOffset int64) 
 	pl, err := place.Place(prob, a, place.Options{
 		Seed: cfg.Seed + seedOffset, Effort: cfg.PlaceEffort,
 		Starts: cfg.PlaceStarts, Workers: cfg.PlaceWorkers,
-		Obs: cfg.Obs,
+		Obs: cfg.Obs, Ctx: cfg.Ctx,
 	})
 	if err != nil {
 		return nil, cc, err
@@ -370,7 +400,7 @@ func RunDCS(name string, modes []*lutnet.Circuit, region *Region, obj merge.Obje
 	mres, err := merge.CombinedPlace(name, modes, region.Arch, merge.Options{
 		Seed: cfg.Seed, Effort: cfg.PlaceEffort, Objective: obj,
 		Workers: cfg.PlaceWorkers, Starts: cfg.PlaceStarts,
-		Obs: cfg.Obs,
+		Obs: cfg.Obs, Ctx: cfg.Ctx,
 	})
 	sp.End()
 	if err != nil {

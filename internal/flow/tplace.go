@@ -67,6 +67,7 @@ func TPlace(tc *tunable.Circuit, a arch.Arch, cfg Config, initLUT, initPad []arc
 		Workers:            cfg.PlaceWorkers,
 		Starts:             cfg.PlaceStarts,
 		Obs:                cfg.Obs,
+		Ctx:                cfg.Ctx,
 	}
 	if initLUT != nil && initPad != nil {
 		init := make([]arch.Site, 0, len(prob.Cells))

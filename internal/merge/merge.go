@@ -16,6 +16,7 @@
 package merge
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -75,6 +76,10 @@ type Options struct {
 	// Obs forwards to anneal.Config.Obs: per-run move/accept counts land
 	// as mm_anneal_* metrics. Wall-clock-only, never in artifact keys.
 	Obs *obs.Registry
+	// Ctx forwards to anneal.Config.Ctx: a cancelled placement stops at
+	// the next batch boundary and returns Ctx.Err(). Never in artifact
+	// keys.
+	Ctx context.Context
 }
 
 // Result carries the merged Tunable circuit, the grouping assignment and
@@ -547,7 +552,11 @@ func CombinedPlace(name string, modes []*lutnet.Circuit, a arch.Arch, opt Option
 			WarmStartTempFraction: opt.WarmStartTempFraction,
 			Pool:                  pool,
 			Obs:                   opt.Obs,
+			Ctx:                   opt.Ctx,
 		}, rng)
+		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+			return nil, opt.Ctx.Err()
+		}
 		states[i], costs[i], seeds[i] = st, st.totalCost(), seed
 	}
 	// Pick by post-anneal cost; the (deterministic, rng-free) pin repair

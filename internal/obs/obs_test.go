@@ -281,3 +281,66 @@ func TestTraceDoubleEnd(t *testing.T) {
 		t.Fatalf("stages = %+v, want a and b at same depth", stages)
 	}
 }
+
+// TestTraceForkAdopt: forks record concurrently, nest below the spans
+// open at the fork, and land on a thread of their own, labelled, when
+// adopted; nil forks and nil parents are no-ops.
+func TestTraceForkAdopt(t *testing.T) {
+	tr := NewTrace()
+	root := tr.Start("compile")
+	forks := []*Trace{tr.Fork(), tr.Fork()}
+	var wg sync.WaitGroup
+	for _, f := range forks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := f.Start("troute")
+			f.Start("expand").End()
+			s.End()
+		}()
+	}
+	wg.Wait()
+	tr.Adopt(forks[0], "attempt", "0", "outcome", "failed")
+	tr.Adopt(nil, "attempt", "9")
+	tr.Adopt(forks[1], "attempt", "1", "outcome", "won")
+	root.End()
+	var nilTrace *Trace
+	if nilTrace.Fork() != nil {
+		t.Fatal("fork of a nil trace is not nil")
+	}
+	nilTrace.Adopt(forks[0])
+
+	if st := tr.Stages(); len(st) != 1 || st[0].Stage != "troute" || st[0].Count != 2 {
+		t.Fatalf("stages = %+v, want both adopted troute spans one level below compile", st)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []chromeEvent
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	tids := map[string]int{}
+	for _, ev := range events {
+		if ev.Name == "compile" {
+			if ev.Tid != 1 {
+				t.Fatalf("parent span on tid %d, want 1", ev.Tid)
+			}
+			continue
+		}
+		a := ev.Args["attempt"]
+		if prev, ok := tids[a]; ok && prev != ev.Tid {
+			t.Fatalf("attempt %s spans on tids %d and %d", a, prev, ev.Tid)
+		}
+		tids[a] = ev.Tid
+	}
+	if len(tids) != 2 || tids["0"] == tids["1"] || tids["0"] < 2 || tids["1"] < 2 {
+		t.Fatalf("attempt threads %v, want two distinct tids beside the parent's", tids)
+	}
+	for _, ev := range events {
+		if ev.Args["attempt"] == "1" && ev.Args["outcome"] != "won" {
+			t.Fatalf("adopted span %+v lost its labels", ev)
+		}
+	}
+}

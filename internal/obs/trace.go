@@ -19,11 +19,16 @@ import (
 // out internally (parallel route batches, multi-start anneals) do not
 // open spans from their workers — the enclosing stage span covers them,
 // and the worker-level detail lands in the metrics registry instead.
+// Work that runs whole stages concurrently (the flow's speculative retry
+// attempts) records each strand into its own Fork and Adopts the forks
+// back once they have been joined; each adopted fork is a thread of its
+// own in the Chrome export.
 type Trace struct {
 	mu    sync.Mutex
 	epoch time.Time
 	depth int
 	spans []*Span
+	tids  int // threads adopted so far; the trace's own spans are tid 1
 }
 
 // Span is one timed region with an optional set of string labels.
@@ -36,6 +41,7 @@ type Span struct {
 	keys   []string
 	values []string
 	done   bool
+	tid    int // Chrome thread id; 0 renders as the trace's own thread 1
 }
 
 // NewTrace returns an empty trace whose epoch is now.
@@ -60,6 +66,39 @@ func (t *Trace) Start(name string, kv ...string) *Span {
 	t.depth++
 	t.spans = append(t.spans, s)
 	return s
+}
+
+// Fork returns an empty trace sharing t's epoch whose spans nest below
+// t's currently open spans, for one strand of concurrent work: the fork
+// is used by that strand alone and merged back with Adopt. The fork of a
+// nil trace is nil.
+func (t *Trace) Fork() *Trace {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return &Trace{epoch: t.epoch, depth: t.depth}
+}
+
+// Adopt appends the spans of a joined fork to t on a new Chrome thread,
+// labelling each with kv (an even-length key/value list). The fork must
+// no longer be in use. Adopting nil is a no-op.
+func (t *Trace) Adopt(f *Trace, kv ...string) {
+	if t == nil || f == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.tids++
+	for _, s := range f.spans {
+		s.t, s.tid = t, t.tids+1
+		for i := 0; i+1 < len(kv); i += 2 {
+			s.keys = append(s.keys, kv[i])
+			s.values = append(s.values, kv[i+1])
+		}
+		t.spans = append(t.spans, s)
+	}
 }
 
 // SetLabel attaches (or overwrites) a label on an open or closed span.
@@ -129,7 +168,7 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 			Name: s.name,
 			Ph:   "X",
 			Pid:  1,
-			Tid:  1,
+			Tid:  max(s.tid, 1),
 			Ts:   float64(s.start.Microseconds()),
 			Dur:  float64(dur.Microseconds()),
 		}

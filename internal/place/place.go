@@ -19,6 +19,7 @@
 package place
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -127,6 +128,10 @@ type Options struct {
 	// Obs forwards to anneal.Config.Obs: per-run move/accept counts land
 	// as mm_anneal_* metrics. Wall-clock-only, never in artifact keys.
 	Obs *obs.Registry
+	// Ctx forwards to anneal.Config.Ctx: a cancelled placement stops at
+	// the next batch boundary and returns Ctx.Err(). Never in artifact
+	// keys.
+	Ctx context.Context
 }
 
 // Place runs simulated annealing and returns a legal placement.
@@ -182,7 +187,11 @@ func Place(p *Problem, a arch.Arch, opt Options) (*Placement, error) {
 			WarmStartTempFraction: opt.WarmStartTempFraction,
 			Pool:                  pool,
 			Obs:                   opt.Obs,
+			Ctx:                   opt.Ctx,
 		}, rng)
+		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+			return nil, opt.Ctx.Err()
+		}
 		states[i], costs[i], seeds[i] = st, st.totalCost(), seed
 	}
 	st := states[anneal.BestStart(costs, seeds)]

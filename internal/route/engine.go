@@ -29,10 +29,17 @@ const (
 // Stall escalation: connection-level rip-up can livelock on instances
 // where two nets flip-flop over one resource (classic whole-net PathFinder
 // escapes these by reorganising entire trees). When the overused-node
-// count has not improved for stallNetRip iterations the rip-up scope
-// widens to whole nets (every connection of any net touching congestion);
-// at stallFullRip it widens to the full netlist. The counters reset as
-// soon as congestion improves, so converging runs never pay for this.
+// count has gone stallNetRip iterations without beating its best so far
+// the rip-up scope widens to whole nets (every connection of any net
+// touching congestion); at stallFullRip it widens to the full netlist.
+// The counter resets only on a new all-time best, not on any
+// improvement: a route that keeps setting new lows never escalates, but
+// once a route that cannot converge plateaus above its best, every later
+// iteration rips up the whole netlist — on a failing TRoute that is most
+// of its MaxIters budget. Resetting after each full rip-up instead is
+// much cheaper but changes trajectories, lowering the MDR/DCS speed-up
+// and lengthening DCS wires; ARCHITECTURE.md ("The routing engine")
+// records the measurement.
 const (
 	stallNetRip  = 4
 	stallFullRip = 8
@@ -542,6 +549,11 @@ func (r *router) run() (*Result, error) {
 	bestOverused := int(^uint(0) >> 1)
 	stall := 0
 	for iter := 1; iter <= r.opt.MaxIters; iter++ {
+		if r.opt.Ctx != nil {
+			if err := r.opt.Ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		// Present-congestion schedule: the first two iterations discover
 		// congestion at the opening factor, then the price escalates.
 		if iter <= 2 {
@@ -780,7 +792,7 @@ func (r *router) routeBatch(batch []job) {
 // crossing a node overused in one of its modes, plus — capped — clean
 // connections parked on full nodes with congestion history, which lets
 // negotiation vacate chronic hotspots early. The stall counter widens the
-// scope when congestion stops improving (see stallNetRip/stallFullRip);
+// scope when congestion stops beating its best (see stallNetRip/stallFullRip);
 // FullRipUp schedules everything unconditionally (the classic
 // whole-netlist behaviour).
 func (r *router) markDirty(stall int) {

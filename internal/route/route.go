@@ -26,6 +26,7 @@
 package route
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/arch"
@@ -177,6 +178,11 @@ type Options struct {
 	// the inner loops never touch it — so a nil registry costs nothing and
 	// a live one cannot perturb results. Never hashed into cache keys.
 	Obs *obs.Registry
+	// Ctx, when non-nil, cancels the route: it is checked once at the top
+	// of every negotiation iteration — a boundary no trajectory depends
+	// on — and a cancelled route returns Ctx.Err() with no result. Like
+	// Obs it never enters a key.
+	Ctx context.Context
 }
 
 func (o *Options) fill() {

@@ -137,8 +137,9 @@ func TestRouteCongestionNegotiation(t *testing.T) {
 	checkRouting(t, g, nets, res)
 }
 
-func TestRouteUnroutableReportsError(t *testing.T) {
-	// W=1 and many competing nets from the same region must fail.
+// unroutableWorkload is a W=1 fabric with many competing nets from the
+// same region: negotiation cannot resolve it.
+func unroutableWorkload() (*arch.Graph, []Net) {
 	a := arch.New(2, 2, 1)
 	a.FcIn, a.FcOut = 1, 1
 	g := arch.BuildGraph(a)
@@ -157,6 +158,11 @@ func TestRouteUnroutableReportsError(t *testing.T) {
 			k++
 		}
 	}
+	return g, nets
+}
+
+func TestRouteUnroutableReportsError(t *testing.T) {
+	g, nets := unroutableWorkload()
 	_, err := Route(g, nets, Options{MaxIters: 8})
 	if err == nil {
 		t.Skip("architecture routed everything; congestion scenario too weak")

@@ -165,7 +165,7 @@ func TestDistOf(t *testing.T) {
 
 func TestRunGroupFullMetrics(t *testing.T) {
 	if testing.Short() {
-		t.Skip("short mode: full group takes ~110s on 2 cores, ~190s on 1")
+		t.Skip("short mode: full group takes ~120s on 2 cores, ~190s on 1")
 	}
 	sc := Scale{GroupsPerSuite: 1, Effort: 0.12, Seed: 1}
 	suites, err := BuildSuites(sc)

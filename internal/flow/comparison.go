@@ -3,7 +3,6 @@ package flow
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 
 	"repro/internal/lutnet"
@@ -34,10 +33,11 @@ type Comparison struct {
 // of an N-mode merge does not scale with channel width — a CLB has K pins
 // at any W), the last attempts re-anneal with a perturbed seed instead;
 // runs that succeed within the widening attempts are unaffected. Each
-// attempt is a pure function of its index (attemptCfg), so when the
-// process can run two goroutines in parallel the attempts run as a
-// ladder, two at a time, keeping the lowest success and cancelling the
-// rest; the result is byte-identical to trying them one by one.
+// attempt is a pure function of its index (attemptCfg), so the attempts
+// run as a ladder: once an attempt's routing has stalled for half its
+// budget, the next one starts alongside it on a core no other compile in
+// the process is using, the lowest success is kept and the rest are
+// cancelled; the result is byte-identical to trying them one by one.
 //
 // With Config.Baseline set, the compile first attempts the delta path
 // (see delta.go): reuse the baseline's region, transfer its placements
@@ -47,6 +47,8 @@ type Comparison struct {
 // compilable input fail.
 func RunComparison(name string, modes []*lutnet.Circuit, cfg Config) (*Comparison, error) {
 	cfg = cfg.filled()
+	cores.acquire()
+	defer cores.release()
 	if cfg.Baseline != "" {
 		cmp, err := runComparisonDelta(name, modes, cfg)
 		if err == nil {
@@ -93,18 +95,6 @@ func attemptCfg(cfg Config, w0, k int) (Config, int) {
 	return cfg, w0 + 2*ladderWidenings
 }
 
-// ladderWidth is how many cold attempts run at once: two when the process
-// can run two goroutines in parallel, else one (the serial loop). The
-// second slot runs attempt k+1 while attempt k is still undecided, which
-// hides the time a cold compile spends in failed routes; results are the
-// same either way.
-func ladderWidth() int {
-	if runtime.GOMAXPROCS(0) >= 2 {
-		return 2
-	}
-	return 1
-}
-
 func runComparisonCold(name string, modes []*lutnet.Circuit, cfg Config) (*Comparison, error) {
 	region, err := SizeRegion(modes, cfg)
 	if err != nil {
@@ -115,9 +105,20 @@ func runComparisonCold(name string, modes []*lutnet.Circuit, cfg Config) (*Compa
 		ctx = context.Background()
 	}
 	traces := make([]*obs.Trace, ladderAttempts)
-	cmp, outcomes, err := ladder(ctx, ladderAttempts, ladderWidth(), func(ctx context.Context, k int) (*Comparison, error) {
+	// An attempt is in doubt once one of its routes has spent half its
+	// iteration budget and is still stalled in full rip-ups. Every failed
+	// attempt gets there; a winning one rarely does. Starting the next
+	// attempt from that point hides half the time a failure takes, while
+	// wasting little work when the attempt succeeds after all.
+	cmp, outcomes, err := ladder(ctx, ladderAttempts, &cores, func(ctx context.Context, k int, doubt func()) (*Comparison, error) {
 		acfg, w := attemptCfg(cfg, region.Arch.W, k)
 		acfg.Ctx = ctx
+		half := acfg.RouteOpts.MaxIters / 2
+		acfg.RouteOpts.OnStall = func(iter int) {
+			if iter >= half {
+				doubt()
+			}
+		}
 		acfg.Trace = cfg.Trace.Fork()
 		traces[k] = acfg.Trace
 		return runAttempt(name, modes, region, acfg, w)

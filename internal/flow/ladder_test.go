@@ -23,9 +23,9 @@ import (
 
 // serialLadder is the retry loop the ladder replaces, verbatim in shape:
 // try attempts in order, return the first success or the last error.
-func serialLadder[T any](n int, attempt func(ctx context.Context, k int) (T, error)) (T, error) {
+func serialLadder[T any](n int, attempt func(ctx context.Context, k int, doubt func()) (T, error)) (T, error) {
 	for k := 0; ; k++ {
-		v, err := attempt(context.Background(), k)
+		v, err := attempt(context.Background(), k, func() {})
 		if err == nil || k == n-1 {
 			return v, err
 		}
@@ -39,6 +39,18 @@ func waitGoroutines(t *testing.T, n int) {
 	for runtime.NumGoroutine() > n {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines still running, started with %d", runtime.NumGoroutine(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitFor polls until cond holds, failing the test after two seconds.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached in 2s")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -91,9 +103,28 @@ func attemptCount(t *testing.T, reg *obs.Registry, outcome string) int {
 }
 
 type chromeEvent struct {
-	Name string
-	Tid  int
-	Args map[string]string
+	Name    string
+	Tid     int
+	Ts, Dur float64
+	Args    map[string]string
+}
+
+// heldPool returns a pool of size cores with one held, as RunComparison
+// holds one for the compile that runs the ladder.
+func heldPool(size int) *corePool {
+	p := &corePool{size: size}
+	p.acquire()
+	return p
+}
+
+// checkReleased fails unless the ladder gave back every core it took.
+func checkReleased(t *testing.T, p *corePool) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.used != 1 {
+		t.Fatalf("%d pool cores in use after the ladder returned, want the caller's 1", p.used)
+	}
 }
 
 func chromeEvents(t *testing.T, tr *obs.Trace) []chromeEvent {
@@ -110,10 +141,10 @@ func chromeEvents(t *testing.T, tr *obs.Trace) []chromeEvent {
 }
 
 // TestLadderLowestSuccessWins runs synthetic ladders whose attempts
-// succeed at a given set of indices: at every width the result is the
-// serial loop's, every attempt above the winner that was still running
-// is cancelled and has returned by the time the ladder does, and no
-// goroutine outlives the call.
+// succeed at a given set of indices and are in doubt from the start: at
+// every pool size the result is the serial loop's, every attempt above
+// the winner that was still running is cancelled and has returned by the
+// time the ladder does, and no goroutine or pool core outlives the call.
 func TestLadderLowestSuccessWins(t *testing.T) {
 	const n = 10
 	for _, succeed := range [][]int{{0}, {1}, {3, 4, 6}, {5, 6, 7, 8, 9}, {9}, {}} {
@@ -121,12 +152,13 @@ func TestLadderLowestSuccessWins(t *testing.T) {
 		for _, k := range succeed {
 			ok[k] = true
 		}
-		for _, width := range []int{1, 2, 3} {
+		for _, size := range []int{1, 2, 3} {
 			before := runtime.NumGoroutine()
 			var started, returned atomic.Int32
-			attempt := func(ctx context.Context, k int) (int, error) {
+			attempt := func(ctx context.Context, k int, doubt func()) (int, error) {
 				started.Add(1)
 				defer returned.Add(1)
+				doubt()
 				if ok[k] {
 					return 100 + k, nil
 				}
@@ -140,15 +172,16 @@ func TestLadderLowestSuccessWins(t *testing.T) {
 			want, wantErr := serialLadder(n, attempt)
 			started.Store(0)
 			returned.Store(0)
-			got, outcomes, err := ladder(context.Background(), n, width, attempt)
-			name := fmt.Sprintf("succeed=%v width=%d", succeed, width)
+			pool := heldPool(size)
+			got, outcomes, err := ladder(context.Background(), n, pool, attempt)
+			name := fmt.Sprintf("succeed=%v pool=%d", succeed, size)
 			if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s: ladder = (%d, %v), serial loop = (%d, %v)", name, got, err, want, wantErr)
 			}
 			if s, r := started.Load(), returned.Load(); s != r || int(s) != len(outcomes) {
 				t.Fatalf("%s: %d attempts started, %d returned, %d outcomes", name, s, r, len(outcomes))
 			}
-			if len(succeed) > 0 && len(outcomes) > succeed[0]+width {
+			if len(succeed) > 0 && len(outcomes) > succeed[0]+min(size, ladderWidth) {
 				t.Fatalf("%s: started %d attempts, more than the winner plus the width", name, len(outcomes))
 			}
 			for k, o := range outcomes {
@@ -164,6 +197,7 @@ func TestLadderLowestSuccessWins(t *testing.T) {
 				}
 			}
 			waitGoroutines(t, before)
+			checkReleased(t, pool)
 		}
 	}
 }
@@ -175,9 +209,10 @@ func TestLadderLowestSuccessWins(t *testing.T) {
 func TestLadderOutOfOrderSuccess(t *testing.T) {
 	for _, lowerOK := range []bool{true, false} {
 		release := make(chan struct{})
-		attempt := func(ctx context.Context, k int) (string, error) {
+		attempt := func(ctx context.Context, k int, doubt func()) (string, error) {
 			switch k {
 			case 0:
+				doubt()
 				<-release
 				if lowerOK {
 					return "zero", nil
@@ -190,7 +225,7 @@ func TestLadderOutOfOrderSuccess(t *testing.T) {
 			t.Errorf("attempt %d started after a success", k)
 			return "", errors.New("unexpected")
 		}
-		got, outcomes, err := ladder(context.Background(), 10, 2, attempt)
+		got, outcomes, err := ladder(context.Background(), 10, heldPool(2), attempt)
 		want, wantOut := "one", []string{outcomeFailed, outcomeWon}
 		if lowerOK {
 			want, wantOut = "zero", []string{outcomeWon, outcomeCanceled}
@@ -208,7 +243,8 @@ func TestLadderParentCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int32
-	_, outcomes, err := ladder(ctx, 10, 2, func(ctx context.Context, k int) (int, error) {
+	_, outcomes, err := ladder(ctx, 10, heldPool(2), func(ctx context.Context, k int, doubt func()) (int, error) {
+		doubt()
 		if started.Add(1) == 2 {
 			cancel()
 		}
@@ -222,6 +258,99 @@ func TestLadderParentCancel(t *testing.T) {
 		t.Fatalf("outcomes %v, want two canceled attempts", outcomes)
 	}
 	waitGoroutines(t, before)
+}
+
+// TestLadderSpeculatesOnlyOnDoubtAndIdleCore: while another compile
+// holds the pool's spare core no second attempt starts; once it frees the
+// core, an attempt in doubt gets the next attempt beside it without
+// waiting for its own end, and an attempt not in doubt still runs alone.
+func TestLadderSpeculatesOnlyOnDoubtAndIdleCore(t *testing.T) {
+	for _, inDoubt := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		pool := heldPool(2)
+		pool.acquire() // another compile holds the spare core
+		var started atomic.Int32
+		doubted, finish := make(chan struct{}), make(chan struct{})
+		type result struct {
+			v        int
+			outcomes []string
+			err      error
+		}
+		out := make(chan result)
+		go func() {
+			v, outcomes, err := ladder(context.Background(), 10, pool, func(ctx context.Context, k int, doubt func()) (int, error) {
+				started.Add(1)
+				if k > 0 {
+					return k, nil
+				}
+				if inDoubt {
+					doubt()
+				}
+				close(doubted)
+				<-finish
+				return 0, errors.New("zero failed")
+			})
+			out <- result{v, outcomes, err}
+		}()
+		<-doubted
+		if inDoubt {
+			// The ladder asked the full pool for a core and is waiting.
+			waitFor(t, func() bool {
+				pool.mu.Lock()
+				defer pool.mu.Unlock()
+				return pool.freed != nil
+			})
+		} else {
+			time.Sleep(20 * time.Millisecond) // room for a wrong start
+		}
+		if n := started.Load(); n != 1 {
+			t.Fatalf("inDoubt=%v: %d attempts started while no core was idle", inDoubt, n)
+		}
+		pool.release() // the other compile finishes
+		if inDoubt {
+			waitFor(t, func() bool { return started.Load() == 2 })
+		} else {
+			time.Sleep(20 * time.Millisecond)
+			if n := started.Load(); n != 1 {
+				t.Fatalf("%d attempts started while attempt 0 was not in doubt", n)
+			}
+		}
+		close(finish)
+		r := <-out
+		if r.err != nil || r.v != 1 || !reflect.DeepEqual(r.outcomes, []string{outcomeFailed, outcomeWon}) {
+			t.Fatalf("inDoubt=%v: got (%d, %v, %v), want attempt 1 to win after attempt 0 failed", inDoubt, r.v, r.outcomes, r.err)
+		}
+		checkReleased(t, pool)
+		waitGoroutines(t, before)
+	}
+}
+
+// TestLadderFailureKeepsTwoInFlight: a speculative attempt that fails
+// while the attempt below it still runs is replaced by the next attempt
+// at once, although it never called doubt.
+func TestLadderFailureKeepsTwoInFlight(t *testing.T) {
+	release := make(chan struct{})
+	got, outcomes, err := ladder(context.Background(), 10, heldPool(2), func(ctx context.Context, k int, doubt func()) (int, error) {
+		switch k {
+		case 0:
+			doubt()
+			select {
+			case <-release:
+			case <-time.After(2 * time.Second):
+				t.Error("attempt 2 did not start while attempt 0 ran")
+			}
+			return 0, errors.New("zero failed")
+		case 1:
+			return 0, errors.New("one failed")
+		case 2:
+			close(release)
+			return 2, nil
+		}
+		return 0, errors.New("unexpected")
+	})
+	if err != nil || got != 2 || !reflect.DeepEqual(outcomes, []string{outcomeFailed, outcomeFailed, outcomeWon}) {
+		t.Fatalf("got (%d, %v, %v), want attempt 2 to win after 0 and 1 failed", got, outcomes, err)
+	}
 }
 
 // TestAttemptCfgMatchesSerialLoop: attemptCfg(k) is exactly the state
@@ -246,9 +375,36 @@ func TestAttemptCfgMatchesSerialLoop(t *testing.T) {
 	}
 }
 
+// attemptsOverlap reports whether two adopted attempt threads of a
+// Chrome trace were running at the same time.
+func attemptsOverlap(evs []chromeEvent) bool {
+	type span struct{ from, to float64 }
+	threads := map[int]span{}
+	for _, ev := range evs {
+		if ev.Tid < 2 {
+			continue
+		}
+		s, ok := threads[ev.Tid]
+		if !ok || ev.Ts < s.from {
+			s.from = ev.Ts
+		}
+		s.to = max(s.to, ev.Ts+ev.Dur)
+		threads[ev.Tid] = s
+	}
+	for a, sa := range threads {
+		for b, sb := range threads {
+			if a != b && sa.from < sb.to && sb.from < sa.to {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestLadderWidthByteIdentical: a comparison that needs at least one
 // widening produces byte-identical encoded results whether its attempts
-// run one or two at a time, and the traced attempts carry their labels.
+// run one or two at a time, the traced attempts carry their labels, and
+// they overlap in time only when a second core is free.
 func TestLadderWidthByteIdentical(t *testing.T) {
 	circuits := mcncPair(t, 5, 6, 80)
 	var encoded [][]byte
@@ -275,10 +431,14 @@ func TestLadderWidthByteIdentical(t *testing.T) {
 		if procs == 1 && attemptCount(t, reg, outcomeCanceled) != 0 {
 			t.Fatal("serial ladder cancelled an attempt")
 		}
-		for _, ev := range chromeEvents(t, tr) {
+		evs := chromeEvents(t, tr)
+		for _, ev := range evs {
 			if ev.Name == "troute" && (ev.Args["attempt"] == "" || ev.Args["outcome"] == outcomeCanceled || ev.Tid < 2) {
 				t.Fatalf("GOMAXPROCS=%d: troute span %+v not on a labelled attempt thread", procs, ev)
 			}
+		}
+		if overlap := attemptsOverlap(evs); overlap != (procs > 1) {
+			t.Fatalf("GOMAXPROCS=%d: attempts overlapping in time = %v", procs, overlap)
 		}
 		var buf []byte
 		buf = append(buf, EncodeBaseline(BuildBaseline(cmp, circuits))...)

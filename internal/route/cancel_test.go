@@ -3,6 +3,7 @@ package route
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -72,5 +73,30 @@ func TestRouteCancelStopsPool(t *testing.T) {
 			t.Fatalf("%d goroutines after the cancelled route, started with %d", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRouteOnStall: a route that cannot converge calls OnStall after
+// every full-rip-up iteration — here from its escalation to the end of
+// its budget, as its congestion never beats its best again — and the
+// hook changes nothing about the outcome.
+func TestRouteOnStall(t *testing.T) {
+	g, nets := unroutableWorkload()
+	_, want := Route(g, nets, Options{MaxIters: 50})
+	if want == nil {
+		t.Skip("architecture routed everything; congestion scenario too weak")
+	}
+	var iters []int
+	_, err := Route(g, nets, Options{MaxIters: 50, OnStall: func(iter int) { iters = append(iters, iter) }})
+	if fmt.Sprint(err) != fmt.Sprint(want) {
+		t.Fatalf("with OnStall: %v, without: %v", err, want)
+	}
+	if len(iters) == 0 || iters[0] <= stallFullRip || iters[len(iters)-1] != 50 {
+		t.Fatalf("OnStall at iterations %v, want a run from past the escalation to 50", iters)
+	}
+	for i := 1; i < len(iters); i++ {
+		if iters[i] != iters[i-1]+1 {
+			t.Fatalf("OnStall at iterations %v, want every iteration once escalated", iters)
+		}
 	}
 }

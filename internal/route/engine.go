@@ -681,6 +681,9 @@ func (r *router) run() (*Result, error) {
 			stall = 0
 		} else {
 			stall++
+			if stall >= stallFullRip && r.opt.OnStall != nil {
+				r.opt.OnStall(iter)
+			}
 		}
 		r.markDirty(stall)
 	}

@@ -183,6 +183,13 @@ type Options struct {
 	// on — and a cancelled route returns Ctx.Err() with no result. Like
 	// Obs it never enters a key.
 	Ctx context.Context
+	// OnStall, when non-nil, is called from the routing goroutine after
+	// every iteration that leaves the stall counter at full-netlist
+	// rip-up (see stallFullRip), with the iteration's number: a route
+	// that will not converge spends the rest of its MaxIters budget
+	// there. It only observes — nothing it does feeds back into routing —
+	// and like Obs it never enters a key.
+	OnStall func(iter int)
 }
 
 func (o *Options) fill() {

@@ -517,10 +517,10 @@ func BenchmarkTechmap(b *testing.B) {
 // BenchmarkPlaceAnneal measures the VPR-style placer on the shared
 // annealing kernel, with allocations reported: the incremental
 // bounding-box cost model keeps the whole move loop allocation-free.
-// The serial baseline runs against the 4-worker batched kernel and the
-// 4-start multi-start variant; both parallel runs are checked
-// byte-identical to their 1-worker counterparts before timing starts —
-// the worker count may change only the wall clock, never the placement.
+// The single-start placement runs beside the 4-start multi-start variant
+// and an instrumented run, which is checked byte-identical to the plain
+// one before timing starts — metrics may change only the wall clock,
+// never the placement.
 func BenchmarkPlaceAnneal(b *testing.B) {
 	c := benchPlaceCircuit(b)
 	side := arch.MinGridForBlocks(c.NumBlocks(), c.NumPIs()+len(c.POs), 1.2)
@@ -534,8 +534,7 @@ func BenchmarkPlaceAnneal(b *testing.B) {
 		return pl
 	}
 	serial := place.Options{Seed: 1, Effort: 0.15}
-	parallel := place.Options{Seed: 1, Effort: 0.15, Workers: 4}
-	multistart := place.Options{Seed: 1, Effort: 0.15, Workers: 4, Starts: 4}
+	multistart := place.Options{Seed: 1, Effort: 0.15, Starts: 4}
 	instrumented := serial
 	instrumented.Obs = obs.NewRegistry()
 	serialStart := time.Now()
@@ -543,23 +542,14 @@ func BenchmarkPlaceAnneal(b *testing.B) {
 	// Fallback serial reference for a filtered run; the serial
 	// sub-benchmark overwrites it with its steady-state per-op time.
 	serialPer := time.Since(serialStart)
-	if !reflect.DeepEqual(run(parallel), base) {
-		b.Fatal("parallel placement differs from serial")
-	}
 	if !reflect.DeepEqual(run(instrumented), base) {
 		b.Fatal("instrumentation changed the placement")
-	}
-	msSerial := multistart
-	msSerial.Workers = 1
-	if !reflect.DeepEqual(run(multistart), run(msSerial)) {
-		b.Fatal("parallel multi-start placement differs from serial")
 	}
 	for _, bc := range []struct {
 		name string
 		opt  place.Options
 	}{
 		{"serial", serial},
-		{"parallel-j4", parallel},
 		{"multistart-4", multistart},
 		{"instrumented", instrumented},
 	} {
@@ -610,11 +600,10 @@ func benchRouteWorkload(b *testing.B) (*arch.Graph, []route.Net) {
 
 // BenchmarkRoute measures the connection-based router's cold route on the
 // multi-net regex workload: the FullRipUp baseline (classic whole-netlist
-// PathFinder behaviour), the incremental engine (congested-connections
-// rip-up only), and the incremental engine with a 4-worker parallel
-// iteration. The incremental sub-benchmark reports its measured speed-up
-// over the baseline; the parallel run is checked byte-identical to the
-// serial one before timing starts.
+// PathFinder behaviour) and the incremental engine (congested-connections
+// rip-up only), plus an instrumented incremental run checked
+// byte-identical to the plain one before timing starts. The incremental
+// sub-benchmark reports its measured speed-up over the baseline.
 func BenchmarkRoute(b *testing.B) {
 	g, nets := benchRouteWorkload(b)
 	serialStart := time.Now()
@@ -624,15 +613,8 @@ func BenchmarkRoute(b *testing.B) {
 	}
 	// Fallback serial reference for a filtered run; the incremental
 	// sub-benchmark overwrites it with its steady-state per-op time so the
-	// parallel speedup compares like with like, not against one cold call.
+	// overhead guard compares like with like, not against one cold call.
 	serialPer := time.Since(serialStart)
-	parallel, err := route.Route(g, nets, route.Options{Workers: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		b.Fatal("parallel routing differs from serial")
-	}
 	reg := obs.NewRegistry()
 	instr, err := route.Route(g, nets, route.Options{Obs: reg})
 	if err != nil {
@@ -668,16 +650,6 @@ func BenchmarkRoute(b *testing.B) {
 		if per := b.Elapsed() / time.Duration(b.N); per > 0 {
 			b.ReportMetric(float64(fullDur)/float64(per), "fullrip-speedup-x")
 			serialPer = per
-		}
-	})
-	b.Run("parallel-j4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := route.Route(g, nets, route.Options{Workers: 4}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if per := b.Elapsed() / time.Duration(b.N); per > 0 {
-			b.ReportMetric(float64(serialPer)/float64(per), "speedup-x")
 		}
 	})
 	b.Run("instrumented", func(b *testing.B) {
@@ -773,8 +745,8 @@ func BenchmarkPathFinder(b *testing.B) {
 // BenchmarkCombinedPlace measures the paper's merge step alone, with
 // allocations reported: the combined-placement cost path dedups sink and
 // affected sets through array scratch, not per-evaluation maps. Like
-// BenchmarkPlaceAnneal, the 4-worker and 4-start variants are checked
-// byte-identical to their 1-worker counterparts before timing starts.
+// BenchmarkPlaceAnneal, it times a single start beside the 4-start
+// multi-start variant.
 func BenchmarkCombinedPlace(b *testing.B) {
 	modes := miniModes(b)
 	maxB, maxIO := 0, 0
@@ -796,38 +768,18 @@ func BenchmarkCombinedPlace(b *testing.B) {
 		return res
 	}
 	serial := merge.Options{Seed: 1, Effort: 0.15, Objective: merge.WireLength}
-	parallel := merge.Options{Seed: 1, Effort: 0.15, Objective: merge.WireLength, Workers: 4}
-	multistart := merge.Options{Seed: 1, Effort: 0.15, Objective: merge.WireLength, Workers: 4, Starts: 4}
-	pres := run(parallel)
-	serialStart := time.Now()
-	sres := run(serial)
-	serialDur := time.Since(serialStart)
-	if !reflect.DeepEqual(pres, sres) {
-		b.Fatal("parallel combined placement differs from serial")
-	}
-	msSerial := multistart
-	msSerial.Workers = 1
-	if !reflect.DeepEqual(run(multistart), run(msSerial)) {
-		b.Fatal("parallel multi-start combined placement differs from serial")
-	}
+	multistart := merge.Options{Seed: 1, Effort: 0.15, Objective: merge.WireLength, Starts: 4}
 	for _, bc := range []struct {
 		name string
 		opt  merge.Options
 	}{
 		{"serial", serial},
-		{"parallel-j4", parallel},
 		{"multistart-4", multistart},
 	} {
-		bc := bc
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				run(bc.opt)
-			}
-			if bc.name == "parallel-j4" {
-				if per := b.Elapsed() / time.Duration(b.N); per > 0 {
-					b.ReportMetric(float64(serialDur)/float64(per), "speedup-x")
-				}
 			}
 		})
 	}

@@ -12,8 +12,8 @@
 //
 // Usage:
 //
-//	mmbench -exp all|table1|fig5|fig6|fig7|area|ablation|frames|multi [-j 8] [-routej 2]
-//	        [-placej 2] [-starts 4] [-groups 4] [-effort 0.4] [-seed 1] [-full]
+//	mmbench -exp all|table1|fig5|fig6|fig7|area|ablation|frames|multi [-j 8]
+//	        [-starts 4] [-groups 4] [-effort 0.4] [-seed 1] [-full]
 //	        [-cachedir DIR] [-cachemb MB]
 //
 // With -cachedir the sweep runs against a persistent content-addressed
@@ -39,8 +39,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment: all, table1, fig5, fig6, fig7, area, ablation, frames, multi")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers for the group sweep")
-	routej := flag.Int("routej", 1, "parallel workers inside each PathFinder route (results are byte-identical at any value)")
-	placej := flag.Int("placej", 1, "parallel workers inside each annealing kernel (results are byte-identical at any value)")
 	starts := flag.Int("starts", 1, "independently seeded anneals per placement, best kept (changes results)")
 	groups := flag.Int("groups", 4, "multi-mode groups per suite (paper: 10)")
 	flag.IntVar(groups, "pairs", 4, "deprecated alias for -groups")
@@ -64,15 +62,13 @@ func main() {
 
 	sc := experiments.Scale{
 		GroupsPerSuite: *groups, Effort: *effort, Seed: *seed,
-		RouteWorkers: *routej, PlaceWorkers: *placej, PlaceStarts: *starts,
+		PlaceStarts: *starts,
 	}
 	if *full {
 		// Paper-scale defaults; explicitly set flags still win, so e.g.
 		// `-full -effort 1.0` raises the annealing effort threaded through
 		// experiments into flow.Config.PlaceEffort and the anneal kernel.
 		sc = experiments.FullScale()
-		sc.RouteWorkers = *routej
-		sc.PlaceWorkers = *placej
 		sc.PlaceStarts = *starts
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {

@@ -18,7 +18,7 @@
 // Usage:
 //
 //	mmflow [-k 4] [-effort 0.5] [-refinefrac 0.1] [-seed 1] [-objective wire|edge]
-//	       [-routej 2] [-placej 2] [-starts 4] [-json] [-cachedir DIR]
+//	       [-starts 4] [-json] [-cachedir DIR]
 //	       [-remote http://host:8433] mode1.blif mode2.blif [...]
 package main
 
@@ -44,8 +44,6 @@ func main() {
 	refineFrac := flag.Float64("refinefrac", 0, "TPlace refinement opening-temperature fraction (0 = kernel default 0.1)")
 	seed := flag.Int64("seed", 1, "random seed")
 	objective := flag.String("objective", "wire", "combined-placement objective: wire or edge")
-	routej := flag.Int("routej", 1, "parallel workers inside each PathFinder route (results are byte-identical at any value)")
-	placej := flag.Int("placej", 1, "parallel workers inside each annealing kernel (results are byte-identical at any value)")
 	starts := flag.Int("starts", 1, "independently seeded anneals per placement, best kept (changes results)")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout")
 	verbose := flag.Bool("v", false, "print per-connection activation functions (local runs only)")
@@ -63,7 +61,7 @@ func main() {
 
 	req := &service.CompileRequest{
 		K: *k, Effort: *effort, RefineFrac: *refineFrac, Seed: *seed, Objective: *objective,
-		RouteWorkers: *routej, PlaceWorkers: *placej, Starts: *starts, BaselineKey: *baseline,
+		Starts: *starts, BaselineKey: *baseline,
 	}
 	for _, path := range flag.Args() {
 		text, err := os.ReadFile(path)

@@ -3,36 +3,36 @@
 // TPlace refinement (package place) and the paper's multi-mode combined
 // placement (package merge). The kernel owns everything the three users
 // used to duplicate — initial-temperature estimation from probed move
-// deltas, the VPR-style adaptive schedule, the move/accept/undo loop and
-// the range-limit adaptation — and is parameterised over a small Mover
-// interface supplying the problem-specific parts: proposing a move,
-// evaluating its cost delta incrementally, and undoing it.
+// deltas, the VPR-style adaptive schedule, the move/accept loop and the
+// range-limit adaptation — and is parameterised over a Mover interface
+// supplying the problem-specific parts: proposing a move, evaluating its
+// cost delta incrementally, applying and undoing it.
+//
+// Moves run under the batch protocol (see batch.go): fixed-size proposal
+// batches are drawn serially, evaluated against state frozen for the
+// whole batch, and committed in canonical slot order with footprint-based
+// conflict detection. The protocol, not the evaluation order, defines the
+// trajectory, so every golden result in the repo is a function of the
+// seed alone.
 //
 // Hot-path contract for Mover implementations:
 //
-//   - TryMove must evaluate the delta *incrementally* (touch only the
-//     nets/positions the move affects) and leave the move applied; the
-//     kernel calls Undo to reject. After any accepted/rejected sequence
-//     the maintained total must equal a from-scratch recompute exactly
-//     (both users have property tests asserting this).
-//   - TryMove must not allocate per call: affected-set deduplication and
-//     undo snapshots live in scratch buffers owned by the Mover.
+//   - TryMove and ApplySlot must evaluate the delta *incrementally*
+//     (touch only the nets/positions the move affects) and leave the move
+//     applied; the kernel calls Undo to reject. After any
+//     accepted/rejected sequence the maintained total must equal a
+//     from-scratch recompute exactly (both users have property tests
+//     asserting this).
+//   - No per-move allocation: affected-set deduplication and undo
+//     snapshots live in scratch buffers owned by the Mover.
 //   - Cost deltas must be accumulated over a deterministically ordered
 //     (never map-ordered) affected set: float addition is not
-//     associative, so a scheduler-dependent order would make seeded runs
+//     associative, so an unordered sum would make seeded runs
 //     irreproducible.
 //
 // The kernel itself draws from the caller's rng in a fixed order (one
-// TryMove per probe/move, one Float64 per uphill move), so a seeded run
-// is reproducible by construction.
-//
-// Movers that additionally implement BatchMover run under the batched
-// parallel-move protocol (see parallel.go): fixed-size proposal batches
-// evaluated concurrently against frozen state and committed serially in
-// canonical order with footprint-based conflict detection. The batched
-// protocol runs at EVERY worker count including 1 — workers change who
-// evaluates, never what is decided — so same-seed results are
-// byte-identical at any Config.Workers.
+// TryMove per probe, then per batch one Propose and one Float64 per
+// slot), so a seeded run is reproducible by construction.
 package anneal
 
 import (
@@ -43,19 +43,44 @@ import (
 	"repro/internal/obs"
 )
 
-// Mover is the problem-specific side of the annealing loop.
+// Mover is the problem-specific side of the annealing loop. Implementations
+// must guarantee:
+//
+//   - Propose records a proposal without touching state;
+//   - EvalSlot is read-only against the current state;
+//   - EvalSlot returns exactly the delta ApplySlot would return on an
+//     unchanged state (same affected-set order, same float operations) —
+//     property-tested by both movers;
+//   - Claims returns the move's full mutation footprint: two proposals
+//     whose claims are disjoint must commute.
 type Mover interface {
 	// TryMove proposes a random move within the range limit rlim,
-	// applies it, and returns its cost delta. ok is false when the
-	// proposal was degenerate (no-op target, class mismatch); such an
-	// attempt counts as neither tried nor accepted and must leave the
-	// state untouched.
+	// applies it, and returns its cost delta — the initial-temperature
+	// probe. ok is false when the proposal was degenerate (no-op target,
+	// class mismatch); such an attempt must leave the state untouched.
 	TryMove(rng *rand.Rand, rlim float64) (delta float64, ok bool)
-	// Undo reverts the last applied TryMove.
+	// Undo reverts the last applied TryMove or ApplySlot.
 	Undo()
 	// Cost returns the current total cost from the Mover's incremental
 	// bookkeeping (called once per temperature round, not per move).
 	Cost() float64
+	// SetupBatch sizes the mover's proposal slots and its frozen-
+	// evaluation scratch. Called once per Run, before the first batch.
+	SetupBatch(slots int)
+	// Propose draws a move for the given slot within the range limit,
+	// recording it in the slot without mutating state; ok is false when
+	// the proposal is degenerate. It draws from rng exactly as TryMove
+	// does.
+	Propose(rng *rand.Rand, rlim float64, slot int) bool
+	// Claims appends the slot's footprint keys to buf and returns it.
+	Claims(slot int, buf []int64) []int64
+	// EvalSlot returns the slot's cost delta, evaluated read-only
+	// against the current (frozen) state.
+	EvalSlot(slot int) float64
+	// ApplySlot applies the slot's proposal to live state — exactly like
+	// TryMove, returning the incremental delta and leaving the move
+	// applied for Undo to revert.
+	ApplySlot(slot int) float64
 }
 
 // Config sizes the schedule for one annealing run.
@@ -89,26 +114,16 @@ type Config struct {
 	// WarmStartTempFraction scales the probed starting temperature when
 	// WarmStart is set (default 0.02).
 	WarmStartTempFraction float64
-	// Workers bounds the evaluation parallelism of the batched protocol
-	// (BatchMovers only; plain Movers always run the serial loop). 0 or 1
-	// evaluates inline on the calling goroutine. Workers never influence
-	// results — only wall-clock — and so are excluded from artifact keys.
-	Workers int
-	// Pool, when non-nil, supplies the worker pool (overriding Workers)
-	// so a multi-start caller can reuse one pool across runs.
-	Pool *Pool
-	// AfterBatch, when non-nil, is called on the calling goroutine after
-	// each batch's commit phase (test hook: the incremental-vs-recompute
-	// property tests audit the mover's books after every commit/requeue
-	// cycle).
+	// AfterBatch, when non-nil, is called after each batch's commit phase
+	// (test hook: the incremental-vs-recompute property tests audit the
+	// mover's books after every commit/requeue cycle).
 	AfterBatch func()
 	// Obs, when non-nil, receives the run's RunStats as mm_anneal_*
 	// metrics when Run returns. Observed only at the run boundary — the
 	// move loop never touches it — so instrumentation can neither slow
 	// the hot path nor perturb results. Never hashed into artifact keys.
 	Obs *obs.Registry
-	// Ctx, when non-nil, cuts the run short: it is checked once per batch
-	// (once per temperature round on the serial loop of plain Movers),
+	// Ctx, when non-nil, cuts the run short: it is checked once per batch,
 	// and a cancelled run returns with the state as the last whole batch
 	// left it. Run reports no error — callers that cancel check Ctx.Err()
 	// and discard the state. Never hashed into artifact keys.
@@ -134,15 +149,13 @@ func observe(reg *obs.Registry, s *RunStats) {
 		"Batch moves requeued after footprint conflicts, per annealing run.",
 		obs.WorkBuckets).Observe(float64(s.Requeued))
 	reg.Histogram("mm_anneal_batches",
-		"Parallel-protocol batches per annealing run.", obs.WorkBuckets).
+		"Move batches per annealing run.", obs.WorkBuckets).
 		Observe(float64(s.Batches))
 }
 
 // Run anneals the Mover's state in place: probe initial temperature,
 // then rounds of Moves attempts with Metropolis acceptance until the
 // schedule says the temperature is cold relative to the cost per net.
-// BatchMovers run the batched parallel protocol (at any worker count);
-// plain Movers run the classic serial loop.
 func Run(mv Mover, cfg Config, rng *rand.Rand) RunStats {
 	if cfg.Cells <= 0 || cfg.Nets <= 0 {
 		return RunStats{}
@@ -192,32 +205,7 @@ func Run(mv Mover, cfg Config, rng *rand.Rand) RunStats {
 		}
 	}
 
-	if bm, ok := mv.(BatchMover); ok {
-		stats := runBatched(bm, cfg, sch, rng, span)
-		observe(cfg.Obs, &stats)
-		return stats
-	}
-
-	var stats RunStats
-	for !cfg.canceled() {
-		for m := 0; m < sch.Moves; m++ {
-			d, ok := mv.TryMove(rng, sch.RLim)
-			if !ok {
-				continue
-			}
-			stats.Moves++
-			if d <= 0 || rng.Float64() < math.Exp(-d/sch.T) {
-				sch.Record(true)
-				stats.Accepted++
-			} else {
-				mv.Undo()
-				sch.Record(false)
-			}
-		}
-		if !sch.Next(mv.Cost()/float64(cfg.Nets), span) {
-			break
-		}
-	}
+	stats := runBatched(mv, cfg, sch, rng, span)
 	observe(cfg.Obs, &stats)
 	return stats
 }

@@ -3,6 +3,7 @@ package anneal
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -74,16 +75,22 @@ func TestClamp(t *testing.T) {
 
 // lineMover is a toy Mover: n cells on an integer line of n slots, cost =
 // sum of |pos(i) - pos(i+1)| over a chain. Optimal order has cost n-1.
+// With adversarial set, Claims reports the same single footprint key for
+// every proposal — so within a batch everything after the first accepted
+// commit conflicts — which is the livelock regression fixture: the kernel
+// must still make progress through such a batch.
 type lineMover struct {
-	posOf  []int
-	cellAt []int
-	cost   float64
-	mvA    int
-	mvB    int
+	posOf        []int
+	cellAt       []int
+	cost         float64
+	mvA          int
+	mvB          int
+	slotA, slotB []int
+	adversarial  bool
 }
 
-func newLineMover(n int, rng *rand.Rand) *lineMover {
-	m := &lineMover{posOf: make([]int, n), cellAt: make([]int, n)}
+func newLineMover(n int, rng *rand.Rand, adversarial bool) *lineMover {
+	m := &lineMover{posOf: make([]int, n), cellAt: make([]int, n), adversarial: adversarial}
 	for i, p := range rng.Perm(n) {
 		m.posOf[i] = p
 		m.cellAt[p] = i
@@ -100,23 +107,34 @@ func (m *lineMover) fullCost() float64 {
 	return c
 }
 
-func (m *lineMover) TryMove(rng *rand.Rand, rlim float64) (float64, bool) {
+// pick draws a range-limited position pair; ok is false for a no-op.
+func (m *lineMover) pick(rng *rand.Rand, rlim float64) (posA, posB int, ok bool) {
 	a := rng.Intn(len(m.posOf))
-	posA := m.posOf[a]
+	posA = m.posOf[a]
 	r := int(rlim)
 	if r < 1 {
 		r = 1
 	}
-	posB := Clamp(posA+rng.Intn(2*r+1)-r, 0, len(m.posOf)-1)
-	if posA == posB {
+	posB = Clamp(posA+rng.Intn(2*r+1)-r, 0, len(m.posOf)-1)
+	return posA, posB, posA != posB
+}
+
+func (m *lineMover) TryMove(rng *rand.Rand, rlim float64) (float64, bool) {
+	posA, posB, ok := m.pick(rng, rlim)
+	if !ok {
 		return 0, false
 	}
+	return m.apply(posA, posB), true
+}
+
+// apply swaps the occupants of posA and posB, leaving the move for Undo.
+func (m *lineMover) apply(posA, posB int) float64 {
 	m.mvA, m.mvB = posA, posB
 	m.swap(posA, posB)
 	nc := m.fullCost()
 	d := nc - m.cost
 	m.cost = nc
-	return d, true
+	return d
 }
 
 func (m *lineMover) swap(posA, posB int) {
@@ -132,11 +150,55 @@ func (m *lineMover) Undo() {
 
 func (m *lineMover) Cost() float64 { return m.cost }
 
+func (m *lineMover) SetupBatch(slots int) {
+	m.slotA = make([]int, slots)
+	m.slotB = make([]int, slots)
+}
+
+func (m *lineMover) Propose(rng *rand.Rand, rlim float64, slot int) bool {
+	posA, posB, ok := m.pick(rng, rlim)
+	m.slotA[slot], m.slotB[slot] = posA, posB
+	return ok
+}
+
+func (m *lineMover) Claims(slot int, buf []int64) []int64 {
+	if m.adversarial {
+		return append(buf, 0)
+	}
+	return append(buf, int64(m.slotA[slot]), int64(m.slotB[slot]))
+}
+
+// EvalSlot recomputes the chain cost with the slot's swap applied
+// virtually — same loop and float operations as fullCost, so the frozen
+// delta is bit-identical to what ApplySlot returns on unchanged state.
+func (m *lineMover) EvalSlot(slot int) float64 {
+	posA, posB := m.slotA[slot], m.slotB[slot]
+	at := func(i int) float64 {
+		p := m.posOf[i]
+		if p == posA {
+			p = posB
+		} else if p == posB {
+			p = posA
+		}
+		return float64(p)
+	}
+	c := 0.0
+	for i := 0; i+1 < len(m.posOf); i++ {
+		c += math.Abs(at(i) - at(i+1))
+	}
+	return c - m.cost
+}
+
+func (m *lineMover) ApplySlot(slot int) float64 {
+	return m.apply(m.slotA[slot], m.slotB[slot])
+}
+
 // TestRunImprovesToyProblem anneals the line ordering and checks the
-// kernel actually optimises: final cost well below the random start.
+// kernel actually optimises — final cost well below the random start —
+// and that the maintained cost matches a from-scratch recompute.
 func TestRunImprovesToyProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	m := newLineMover(40, rng)
+	m := newLineMover(40, rng, false)
 	start := m.Cost()
 	Run(m, Config{Effort: 1, Span: 40, Cells: 40, Nets: 39}, rng)
 	if m.Cost() > 0.5*start {
@@ -147,19 +209,22 @@ func TestRunImprovesToyProblem(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic: same seed, same trajectory, same final state.
+// TestRunDeterministic: same seed, same trajectory — the same final state
+// and the same move/accept/requeue/batch statistics.
 func TestRunDeterministic(t *testing.T) {
-	run := func() []int {
-		rng := rand.New(rand.NewSource(77))
-		m := newLineMover(30, rng)
-		Run(m, Config{Effort: 0.5, Span: 30, Cells: 30, Nets: 29}, rng)
-		return m.posOf
+	run := func() ([]int, RunStats) {
+		rng := rand.New(rand.NewSource(321))
+		m := newLineMover(40, rng, false)
+		stats := Run(m, Config{Effort: 1, Span: 40, Cells: 40, Nets: 39}, rng)
+		return m.posOf, stats
 	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at cell %d", i)
-		}
+	posA, statsA := run()
+	posB, statsB := run()
+	if statsA.Batches == 0 || statsA.Moves == 0 {
+		t.Fatalf("batch protocol not exercised: %+v", statsA)
+	}
+	if !reflect.DeepEqual(posA, posB) || statsA != statsB {
+		t.Fatalf("same seed diverged: stats %+v vs %+v", statsA, statsB)
 	}
 }
 
@@ -181,7 +246,7 @@ func TestRunRefineKeepsGoodSolution(t *testing.T) {
 // TestRunDisabled: zero cells or nets must leave the state untouched.
 func TestRunDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	m := newLineMover(10, rng)
+	m := newLineMover(10, rng, false)
 	before := append([]int(nil), m.posOf...)
 	Run(m, Config{Effort: 1, Span: 10, Cells: 0, Nets: 5}, rng)
 	Run(m, Config{Effort: 1, Span: 10, Cells: 10, Nets: 0}, rng)

@@ -1,0 +1,152 @@
+package anneal
+
+import (
+	"math"
+	"math/rand"
+)
+
+// batchMoves is the number of move proposals per batch. Like the router's
+// connection batches it is a FIXED constant: batch composition decides
+// which proposals see which frozen state, so it fixes the rng draw order,
+// the canonical commit order and every conflict/requeue decision — the
+// whole seeded trajectory. Changing it moves every placement result.
+const batchMoves = 64
+
+// StartSeedStride separates the derived seeds of multi-start anneals:
+// start i of a run seeded S anneals with seed S + i*StartSeedStride.
+// Large and prime so the strided seed sequences of nearby base seeds
+// (callers commonly use S, S+1, ... for related problems) do not collide.
+const StartSeedStride = 1_000_003
+
+// RunStats summarises one annealing run.
+type RunStats struct {
+	// Moves counts evaluated (non-degenerate) proposals; Accepted the
+	// committed ones.
+	Moves    int
+	Accepted int
+	// Requeued counts batch commits whose footprint overlapped an earlier
+	// commit of the same batch and were therefore re-evaluated serially
+	// against live state.
+	Requeued int
+	// Batches counts move batches.
+	Batches int
+}
+
+// BestStart picks the winner of a multi-start anneal: the index of the
+// lowest cost, ties broken towards the lowest seed. The pick depends only
+// on the (cost, seed) pairs, never on the order the starts ran in.
+func BestStart(costs []float64, seeds []int64) int {
+	best := 0
+	for i := 1; i < len(costs); i++ {
+		if costs[i] < costs[best] || (costs[i] == costs[best] && seeds[i] < seeds[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// runBatched is the annealing loop over the batch protocol, mirroring the
+// router's commit protocol: per batch, proposals and their acceptance
+// uniforms are drawn in slot order (the rng sequence is fixed up front);
+// every slot is then evaluated against state frozen for the whole phase;
+// commits then apply in slot order. A commit whose claims overlap an
+// earlier accepted commit of the same batch is REQUEUED: it is
+// re-evaluated against live state via ApplySlot and decided with its
+// pre-drawn uniform — in-batch, so a batch where every proposal conflicts
+// still makes progress one commit at a time (no livelock, no starvation). Non-conflicting commits decide on
+// the frozen delta and only then apply, which also keeps the maintained
+// incremental costs exact: every state mutation goes through ApplySlot
+// against live state.
+func runBatched(mv Mover, cfg Config, sch *Schedule, rng *rand.Rand, span int) RunStats {
+	var stats RunStats
+	mv.SetupBatch(batchMoves)
+
+	var (
+		ok      [batchMoves]bool
+		u       [batchMoves]float64
+		delta   [batchMoves]float64
+		claimed []int64
+		clBuf   []int64
+	)
+	for {
+		for m := 0; m < sch.Moves; {
+			if cfg.canceled() {
+				return stats
+			}
+			n := batchMoves
+			if rem := sch.Moves - m; rem < n {
+				n = rem
+			}
+			m += n
+			stats.Batches++
+
+			// Propose phase: fixed rng order. The acceptance uniform is
+			// drawn per proposal up front so the decision in the commit
+			// phase consumes no rng.
+			for s := 0; s < n; s++ {
+				ok[s] = mv.Propose(rng, sch.RLim, s)
+				if ok[s] {
+					u[s] = rng.Float64()
+				}
+			}
+			// Evaluation phase: read-only against the frozen state.
+			for s := 0; s < n; s++ {
+				if ok[s] {
+					delta[s] = mv.EvalSlot(s)
+				}
+			}
+			// Commit phase: canonical slot order.
+			claimed = claimed[:0]
+			for s := 0; s < n; s++ {
+				if !ok[s] {
+					continue
+				}
+				stats.Moves++
+				clBuf = mv.Claims(s, clBuf[:0])
+				conflict := false
+				for _, c := range clBuf {
+					for _, p := range claimed {
+						if p == c {
+							conflict = true
+							break
+						}
+					}
+					if conflict {
+						break
+					}
+				}
+				if conflict {
+					// Requeue: an earlier commit touched this move's
+					// footprint, so the frozen delta is stale — apply
+					// against live state for the true delta and decide
+					// with the pre-drawn uniform.
+					stats.Requeued++
+					d := mv.ApplySlot(s)
+					if d <= 0 || u[s] < math.Exp(-d/sch.T) {
+						claimed = append(claimed, clBuf...)
+						sch.Record(true)
+						stats.Accepted++
+					} else {
+						mv.Undo()
+						sch.Record(false)
+					}
+				} else {
+					if d := delta[s]; d <= 0 || u[s] < math.Exp(-d/sch.T) {
+						mv.ApplySlot(s)
+						claimed = append(claimed, clBuf...)
+						sch.Record(true)
+						stats.Accepted++
+					} else {
+						sch.Record(false)
+					}
+				}
+			}
+			if cfg.AfterBatch != nil {
+				cfg.AfterBatch()
+			}
+		}
+		if !sch.Next(mv.Cost()/float64(cfg.Nets), span) {
+			return stats
+		}
+	}
+}

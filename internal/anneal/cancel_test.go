@@ -27,7 +27,7 @@ func (c *pollCtx) Err() error {
 func TestRunCancelAtBatchBoundary(t *testing.T) {
 	run := func(ctx context.Context) ([]int, RunStats) {
 		rng := rand.New(rand.NewSource(321))
-		m := newBatchLineMover(40, rng, false)
+		m := newLineMover(40, rng, false)
 		stats := Run(m, Config{Effort: 1, Span: 40, Cells: 40, Nets: 39, Ctx: ctx}, rng)
 		return append([]int(nil), m.posOf...), stats
 	}

@@ -46,14 +46,6 @@ type Scale struct {
 	// Effort is the annealing effort (paper-equivalent ≈ 1.0).
 	Effort float64
 	Seed   int64
-	// RouteWorkers is the router's per-route worker count (see
-	// flow.Config.RouteWorkers). Results are byte-identical at any value,
-	// so it is not part of any artifact key.
-	RouteWorkers int
-	// PlaceWorkers is the annealers' worker count (see
-	// flow.Config.PlaceWorkers). Like RouteWorkers, results are
-	// byte-identical at any value, so it is not part of any artifact key.
-	PlaceWorkers int
 	// PlaceStarts is the placement multi-start count (see
 	// flow.Config.PlaceStarts). It changes results and IS part of the
 	// group-result artifact key.
@@ -88,9 +80,7 @@ type Suite struct {
 func (s *Suite) config(sc Scale) flow.Config {
 	return flow.Config{
 		PlaceEffort: sc.Effort, Seed: sc.Seed,
-		RouteWorkers: sc.RouteWorkers,
-		PlaceWorkers: sc.PlaceWorkers, PlaceStarts: sc.PlaceStarts,
-		Cache: sc.Cache,
+		PlaceStarts: sc.PlaceStarts, Cache: sc.Cache,
 	}
 }
 

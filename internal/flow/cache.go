@@ -287,9 +287,7 @@ func (c *Cache) Graphs() []*arch.Graph {
 // entry, within and across processes), the logic-array dimensions, and the
 // annealer seed, effort and multi-start count. Channel width is
 // deliberately absent: placement never looks at it (see
-// placementChannelWidth). Worker count is deliberately absent too:
-// results are byte-identical at any -placej, so keying on it would only
-// split identical artifacts.
+// placementChannelWidth).
 type placeKey struct {
 	circuit       codec.Hash
 	width, height int
@@ -324,13 +322,12 @@ type placeEntry struct {
 // placement returns the annealed placement of circuit ct on a
 // width×height logic array under the given seed, effort and multi-start
 // count, computing it on first request per process and consulting the
-// artifact store (when attached) before annealing. workers parallelises
-// the annealing without affecting the result (and so stays out of the
-// key); reg likewise only observes the anneal that actually runs — a
-// memory or store hit records nothing, which is exactly the work-done
+// artifact store (when attached) before annealing. reg only observes the
+// anneal that actually runs (and so stays out of the key) — a memory or
+// store hit records nothing, which is exactly the work-done
 // truth. The returned placement is shared: callers must treat it as
 // immutable.
-func (c *Cache) placement(ct *lutnet.Circuit, width, height int, seed int64, effort float64, starts, workers int, reg *obs.Registry) (*place.Placement, place.CircuitCells, error) {
+func (c *Cache) placement(ct *lutnet.Circuit, width, height int, seed int64, effort float64, starts int, reg *obs.Registry) (*place.Placement, place.CircuitCells, error) {
 	if starts < 1 {
 		starts = 1 // normalised so 0 and 1 share the (identical) artifact
 	}
@@ -365,7 +362,7 @@ func (c *Cache) placement(ct *lutnet.Circuit, width, height int, seed int64, eff
 		c.placeAnneals.Add(1)
 		a := arch.New(width, height, placementChannelWidth)
 		prob, cc := place.FromCircuit(ct)
-		pl, err := place.Place(prob, a, place.Options{Seed: seed, Effort: effort, Starts: starts, Workers: workers, Obs: reg})
+		pl, err := place.Place(prob, a, place.Options{Seed: seed, Effort: effort, Starts: starts, Obs: reg})
 		e.pl, e.cc, e.err = pl, cc, err
 		if c.store != nil && err == nil {
 			// Best effort: a failed write only costs the next process a

@@ -144,11 +144,11 @@ func TestPlacementContentAddressed(t *testing.T) {
 	}
 	c := NewCache()
 	a := arch.New(6, 6, 8)
-	pl1, _, err := c.placement(mappedA[0], a.Width, a.Height, 1, cfg.PlaceEffort, 1, 1, nil)
+	pl1, _, err := c.placement(mappedA[0], a.Width, a.Height, 1, cfg.PlaceEffort, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl2, _, err := c.placement(mappedB[0], a.Width, a.Height, 1, cfg.PlaceEffort, 1, 1, nil)
+	pl2, _, err := c.placement(mappedB[0], a.Width, a.Height, 1, cfg.PlaceEffort, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestPlacementStoreTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := NewCacheWithStore(st1)
-	plCold, ccCold, err := cold.placement(ct, 6, 6, 1, cfg.PlaceEffort, 1, 1, nil)
+	plCold, ccCold, err := cold.placement(ct, 6, 6, 1, cfg.PlaceEffort, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPlacementStoreTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := NewCacheWithStore(st2)
-	plWarm, ccWarm, err := warm.placement(ct, 6, 6, 1, cfg.PlaceEffort, 1, 1, nil)
+	plWarm, ccWarm, err := warm.placement(ct, 6, 6, 1, cfg.PlaceEffort, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestPlacementStoreTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	healed := NewCacheWithStore(st3)
-	plHealed, _, err := healed.placement(ct, 6, 6, 1, cfg.PlaceEffort, 1, 1, nil)
+	plHealed, _, err := healed.placement(ct, 6, 6, 1, cfg.PlaceEffort, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestPlacementStoreTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := NewCacheWithStore(st4)
-	if _, _, err := final.placement(ct, 6, 6, 1, cfg.PlaceEffort, 1, 1, nil); err != nil {
+	if _, _, err := final.placement(ct, 6, 6, 1, cfg.PlaceEffort, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s := final.Stats(); s.PlaceStoreHits != 1 {

@@ -22,7 +22,7 @@ import (
 // trees so only nets touching moved or edited cells renegotiate.
 //
 // Delta results are deterministic (same baseline + same edit + same seed
-// give byte-identical results at any worker count) but are a different
+// give byte-identical results) but are a different
 // trajectory than a cold compile of the same input — the QoR difference
 // is bounded by the equivalence suite in delta_test.go. Any problem with
 // the baseline — missing from the store, corrupt, wrong mode count,
@@ -218,7 +218,7 @@ func runMDRDelta(modes []*lutnet.Circuit, region *Region, cfg Config, base *Base
 			}
 			pl, err = place.Place(prob, region.Arch, place.Options{
 				Seed: cfg.Seed + int64(mi), Effort: cfg.PlaceEffort,
-				Workers: cfg.PlaceWorkers, Init: init, WarmStart: true,
+				Init: init, WarmStart: true,
 				Obs: cfg.Obs, Ctx: cfg.Ctx,
 			})
 			if err != nil {
@@ -280,7 +280,7 @@ func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge
 	sp := cfg.Trace.Start("merge", "objective", obj.String(), "path", "delta")
 	mres, err := merge.CombinedPlace(name, modes, region.Arch, merge.Options{
 		Seed: cfg.Seed, Effort: cfg.PlaceEffort, Objective: obj,
-		Workers: cfg.PlaceWorkers, Init: inits, WarmStart: true,
+		Init: inits, WarmStart: true,
 		Obs: cfg.Obs, Ctx: cfg.Ctx,
 	})
 	sp.End()

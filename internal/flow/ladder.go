@@ -26,8 +26,9 @@ const ladderWidth = 2
 // corePool accounts the cores this process's compiles keep busy, so a
 // compile can tell whether a speculative attempt would run on an idle
 // core or take one from a compile doing useful work. Every compile in
-// progress holds one core unconditionally (acquire); a speculative
-// attempt takes another only if one is free (tryAcquire). The pool has
+// progress holds one core unconditionally (acquire) — a compile runs
+// every kernel serially, so one compile is exactly one core — and a
+// speculative attempt takes another only if one is free (tryAcquire). The pool has
 // size cores, or GOMAXPROCS when size is 0 — so at GOMAXPROCS=1 no
 // attempt is ever speculative.
 type corePool struct {

@@ -64,7 +64,6 @@ func TPlace(tc *tunable.Circuit, a arch.Arch, cfg Config, initLUT, initPad []arc
 		Seed:               cfg.Seed + 7777,
 		Effort:             cfg.PlaceEffort,
 		RefineTempFraction: cfg.RefineTempFraction,
-		Workers:            cfg.PlaceWorkers,
 		Starts:             cfg.PlaceStarts,
 		Obs:                cfg.Obs,
 		Ctx:                cfg.Ctx,

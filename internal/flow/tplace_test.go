@@ -2,6 +2,7 @@ package flow
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -11,7 +12,9 @@ import (
 // TestTPlaceRefineWorkerDeterminism is the flow-level half of the
 // worker-determinism contract: the TPlace refinement pass (annealing from
 // the combined placement's extracted sites rather than a random start)
-// must return byte-identical sites and cost at any PlaceWorkers value.
+// must return byte-identical sites and cost whether it runs alone or
+// beside other refinements, the way job-level workers (experiments.Runner
+// -j, mmserved -j) run independent compiles.
 func TestTPlaceRefineWorkerDeterminism(t *testing.T) {
 	cfg := testConfig()
 	mapped, err := MapModes(buildPair(t, 11, 12, 32), cfg)
@@ -34,20 +37,30 @@ func TestTPlaceRefineWorkerDeterminism(t *testing.T) {
 	type refined struct {
 		lut, pad []arch.Site
 		cost     float64
+		err      error
 	}
-	run := func(workers int) refined {
-		c := cfg
-		c.PlaceWorkers = workers
-		lut, pad, cost, err := TPlace(mres.Tunable, region.Arch, c, mres.LUTSite, mres.PadSite)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return refined{lut, pad, cost}
+	run := func() refined {
+		lut, pad, cost, err := TPlace(mres.Tunable, region.Arch, cfg, mres.LUTSite, mres.PadSite)
+		return refined{lut, pad, cost, err}
 	}
-	base := run(1)
-	for _, j := range []int{2, 8} {
-		if got := run(j); !reflect.DeepEqual(got, base) {
-			t.Errorf("TPlace refine diverges at workers=%d (cost %v vs %v)", j, got.cost, base.cost)
+	base := run()
+	if base.err != nil {
+		t.Fatal(base.err)
+	}
+	got := make([]refined, 3)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !reflect.DeepEqual(got[i], base) {
+			t.Errorf("TPlace refine diverges beside other jobs (job %d, cost %v vs %v, err %v)",
+				i, got[i].cost, base.cost, got[i].err)
 		}
 	}
 }

@@ -1,5 +1,5 @@
-// Batched parallel-move support: the combined-placement state implements
-// anneal.BatchMover. As in package place, the load-bearing contract is
+// Batch-protocol support: the combined-placement state implements the
+// batch half of anneal.Mover. As in package place, the load-bearing contract is
 // EvalSlot ≡ ApplySlot on unchanged state: the frozen evaluation replays
 // applyMove's exact affected-position order and per-position cost
 // computation through a view of the arrays with the proposed swap
@@ -19,29 +19,21 @@ type mergeSlot struct {
 	posA, posB int32
 }
 
-// mergeScratch is one worker's frozen-evaluation scratch, mirroring the
-// state's own costAt/move scratch (sink-position dedup, affected-position
-// dedup) so concurrent evaluations never share buffers.
+// mergeScratch is the frozen evaluation's affected-position dedup. It is
+// kept apart from the state's move scratch because Undo reads affBuf: an
+// evaluation must not clobber the list of the move it may revert.
 type mergeScratch struct {
-	sinkSeen []bool
-	sinkBuf  []int32
-	affSeen  []bool
-	affBuf   []int32
+	affSeen []bool
+	affBuf  []int32
 }
 
-// SetupBatch implements anneal.BatchMover.
-func (st *state) SetupBatch(workers, slots int) {
+// SetupBatch implements anneal.Mover.
+func (st *state) SetupBatch(slots int) {
 	st.slots = make([]mergeSlot, slots)
-	st.scratch = make([]mergeScratch, workers)
-	for w := range st.scratch {
-		st.scratch[w] = mergeScratch{
-			sinkSeen: make([]bool, st.nPos),
-			affSeen:  make([]bool, st.nPos),
-		}
-	}
+	st.scratch = mergeScratch{affSeen: make([]bool, st.nPos)}
 }
 
-// Propose implements anneal.BatchMover: the same pick (and rng draw
+// Propose implements anneal.Mover: the same pick (and rng draw
 // sequence) as TryMove, recorded instead of applied.
 func (st *state) Propose(rng *rand.Rand, rlim float64, slot int) bool {
 	m, posA, posB, ok := st.pickMove(rng, rlim)
@@ -52,7 +44,7 @@ func (st *state) Propose(rng *rand.Rand, rlim float64, slot int) bool {
 	return true
 }
 
-// Claims implements anneal.BatchMover: a move's mutation footprint is its
+// Claims implements anneal.Mover: a move's mutation footprint is its
 // (mode, position) pair, flattened to mode*nPos+pos. Swaps of different
 // modes never touch the same occupancy arrays, so they only claim their
 // own mode's slots; within a mode the same-class position-pair argument
@@ -63,20 +55,20 @@ func (st *state) Claims(slot int, buf []int64) []int64 {
 	return append(buf, base+int64(s.posA), base+int64(s.posB))
 }
 
-// ApplySlot implements anneal.BatchMover.
+// ApplySlot implements anneal.Mover.
 func (st *state) ApplySlot(slot int) float64 {
 	s := st.slots[slot]
 	return st.applyMove(s.m, s.posA, s.posB)
 }
 
-// EvalSlot implements anneal.BatchMover: applyMove's delta computed
-// read-only against the frozen state using worker w's scratch. The
+// EvalSlot implements anneal.Mover: applyMove's delta computed
+// read-only against the frozen state. The
 // affected-position list is built pre-swap from the live arrays (exactly
 // as applyMove builds it), then each position is re-costed through a view
 // with the swap applied.
-func (st *state) EvalSlot(slot, w int) float64 {
+func (st *state) EvalSlot(slot int) float64 {
 	s := st.slots[slot]
-	sc := &st.scratch[w]
+	sc := &st.scratch
 	ca, cb := st.cellAt[s.m][s.posA], st.cellAt[s.m][s.posB]
 
 	affected := sc.affBuf[:0]
@@ -97,7 +89,7 @@ func (st *state) EvalSlot(slot, w int) float64 {
 	delta := 0.0
 	for _, p := range affected {
 		sc.affSeen[p] = false
-		delta += st.costAtView(p, s.m, s.posA, s.posB, ca, cb, sc) - st.posCost[p]
+		delta += st.costAtView(p, s.m, s.posA, s.posB, ca, cb) - st.posCost[p]
 	}
 	sc.affBuf = affected
 	return delta
@@ -106,9 +98,10 @@ func (st *state) EvalSlot(slot, w int) float64 {
 // costAtView is costAt evaluated through a view of the occupancy arrays
 // with the mode-vm swap of vA and vB applied: cellAt[vm][vA] reads as cb,
 // cellAt[vm][vB] as ca, and the positions of ca/cb read swapped. Same
-// iteration order, same dedup, same min/max accumulation as costAt.
-func (st *state) costAtView(p int32, vm int, vA, vB, ca, cb int32, sc *mergeScratch) float64 {
-	touched := sc.sinkBuf[:0]
+// iteration order, same dedup (through costAt's own scratch), same min/max
+// accumulation as costAt.
+func (st *state) costAtView(p int32, vm int, vA, vB, ca, cb int32) float64 {
+	touched := st.sinkBuf[:0]
 	hasDriver := false
 	for m, mi := range st.modes {
 		cell := st.cellAt[m][p]
@@ -132,23 +125,23 @@ func (st *state) costAtView(p int32, vm int, vA, vB, ca, cb int32, sc *mergeScra
 					sp = vA
 				}
 			}
-			if !sc.sinkSeen[sp] {
-				sc.sinkSeen[sp] = true
+			if !st.sinkSeen[sp] {
+				st.sinkSeen[sp] = true
 				touched = append(touched, sp)
 			}
 		}
 	}
-	sc.sinkBuf = touched
+	st.sinkBuf = touched
 	if !hasDriver || len(touched) == 0 {
 		for _, sp := range touched {
-			sc.sinkSeen[sp] = false
+			st.sinkSeen[sp] = false
 		}
 		return 0
 	}
 	if st.objective == EdgeMatch {
 		n := float64(len(touched))
 		for _, sp := range touched {
-			sc.sinkSeen[sp] = false
+			st.sinkSeen[sp] = false
 		}
 		return n
 	}
@@ -174,7 +167,7 @@ func (st *state) costAtView(p int32, vm int, vA, vB, ca, cb int32, sc *mergeScra
 		upd(x, y)
 	}
 	for _, sp := range touched {
-		sc.sinkSeen[sp] = false
+		st.sinkSeen[sp] = false
 		x, y := st.xy(sp)
 		upd(x, y)
 		nTerm++

@@ -3,16 +3,19 @@ package merge
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/anneal"
 	"repro/internal/lutnet"
 )
 
-// TestMergeWorkerDeterminism is the combined-placement half of the
-// determinism-at-any-j contract: the complete Result — cost, connection
-// counts, assignment and every group site — must be identical at 1, 2
-// and 8 workers, under both objectives.
+// TestMergeWorkerDeterminism: combined placements are identical whether
+// they run alone or side by side the way job-level workers
+// (experiments.Runner -j, mmserved -j) run independent compiles — under
+// both objectives, with the two objectives' jobs sharing the mode
+// circuits. Under -race it also proves CombinedPlace shares no mutable
+// state between calls.
 func TestMergeWorkerDeterminism(t *testing.T) {
 	modes := []*lutnet.Circuit{
 		randomCircuit(t, 60, 30),
@@ -20,29 +23,43 @@ func TestMergeWorkerDeterminism(t *testing.T) {
 		randomCircuit(t, 62, 30),
 	}
 	a := archFor(modes)
+	var opts []Options
 	for _, obj := range []Objective{WireLength, EdgeMatch} {
-		var base *Result
-		for _, workers := range []int{1, 2, 8} {
-			res, err := CombinedPlace("det", modes, a, Options{
-				Seed: 7, Effort: 0.2, Objective: obj, Workers: workers,
-			})
-			if err != nil {
-				t.Fatalf("%v workers %d: %v", obj, workers, err)
-			}
-			if workers == 1 {
-				base = res
-				continue
-			}
-			if !reflect.DeepEqual(base, res) {
-				t.Fatalf("%v: result at %d workers differs from serial", obj, workers)
-			}
+		for seed := int64(7); seed < 9; seed++ {
+			opts = append(opts, Options{Seed: seed, Effort: 0.2, Objective: obj})
+		}
+	}
+	want := make([]*Result, len(opts))
+	for i, opt := range opts {
+		res, err := CombinedPlace("det", modes, a, opt)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		want[i] = res
+	}
+	got := make([]*Result, len(opts))
+	errs := make([]error, len(opts))
+	var wg sync.WaitGroup
+	for i, opt := range opts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = CombinedPlace("det", modes, a, opt)
+		}()
+	}
+	wg.Wait()
+	for i, opt := range opts {
+		if errs[i] != nil {
+			t.Fatalf("concurrent job %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Fatalf("%v seed %d: result differs when run beside other jobs", opt.Objective, opt.Seed)
 		}
 	}
 }
 
 // TestMergeMultiStartDeterministic: a multi-start combined placement must
-// equal the best single start under the (cost, seed) tiebreak, at any
-// worker count.
+// equal the best single start under the (cost, seed) tiebreak.
 func TestMergeMultiStartDeterministic(t *testing.T) {
 	modes := similarPair(t)
 	a := archFor(modes)
@@ -60,17 +77,12 @@ func TestMergeMultiStartDeterministic(t *testing.T) {
 		costs[i] = res.Cost
 	}
 	want := singles[anneal.BestStart(costs, seeds)]
-	for _, workers := range []int{1, 4} {
-		res, err := CombinedPlace("ms", modes, a, Options{
-			Seed: 9, Effort: 0.2, Starts: starts, Workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(want, res) {
-			t.Fatalf("multi-start at %d workers differs from best single start (cost %v vs %v)",
-				workers, res.Cost, want.Cost)
-		}
+	res, err := CombinedPlace("ms", modes, a, Options{Seed: 9, Effort: 0.2, Starts: starts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, res) {
+		t.Fatalf("multi-start differs from best single start (cost %v vs %v)", res.Cost, want.Cost)
 	}
 }
 
@@ -90,13 +102,13 @@ func TestMergeEvalSlotMatchesApplySlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.SetupBatch(2, 1)
+		st.SetupBatch(1)
 		for i := 0; i < 3000; i++ {
 			rlim := 1 + rng.Float64()*float64(a.Width+a.Height)
 			if !st.Propose(rng, rlim, 0) {
 				continue
 			}
-			frozen := st.EvalSlot(0, i%2)
+			frozen := st.EvalSlot(0)
 			live := st.ApplySlot(0)
 			if frozen != live {
 				t.Fatalf("%v step %d: frozen delta %v != live delta %v", obj, i, frozen, live)
@@ -110,7 +122,7 @@ func TestMergeEvalSlotMatchesApplySlot(t *testing.T) {
 
 // TestMergeBatchAccountingMatchesRecompute extends the incremental
 // exact-equality contract to the batched commit/requeue path: after
-// EVERY batch commit cycle of a real parallel combined-placement anneal,
+// EVERY batch commit cycle of a real combined-placement anneal,
 // each maintained position cost must equal a from-scratch costAt. The
 // run must also exercise the conflict-requeue path.
 func TestMergeBatchAccountingMatchesRecompute(t *testing.T) {
@@ -133,7 +145,6 @@ func TestMergeBatchAccountingMatchesRecompute(t *testing.T) {
 	stats := anneal.Run(st, anneal.Config{
 		Effort: 0.2, Span: a.Width + a.Height,
 		Cells: nCells, Nets: st.numNets(),
-		Workers: 3,
 		AfterBatch: func() {
 			batch++
 			checkPosCosts(t, st, batch)

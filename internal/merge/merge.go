@@ -51,12 +51,8 @@ type Options struct {
 	Seed      int64
 	Effort    float64
 	Objective Objective
-	// Workers bounds the parallel evaluation of move batches. Results are
-	// byte-identical at any worker count (see internal/anneal), so
-	// Workers is a wall-clock knob only and stays out of artifact keys.
-	Workers int
 	// Starts anneals this many independently-seeded combined placements
-	// (Seed, Seed+StartSeedStride, ...) sharing one worker pool and keeps
+	// (Seed, Seed+StartSeedStride, ...) one after another and keeps
 	// the best by the deterministic (cost, seed) tiebreak. 0 or 1 is a
 	// single start. Starts changes results, so it IS part of artifact
 	// keys.
@@ -214,10 +210,10 @@ type state struct {
 	// Pending move for anneal.Mover (set by TryMove, used by Undo).
 	mvMode   int
 	mvA, mvB int32
-	// Batched-protocol state (parallel.go): recorded proposals and the
-	// per-worker frozen-evaluation scratch.
+	// Batch-protocol state (batch.go): recorded proposals and the
+	// frozen-evaluation scratch.
 	slots   []mergeSlot
-	scratch []mergeScratch
+	scratch mergeScratch
 }
 
 // newState builds the combined-placement state with a random legal
@@ -519,11 +515,6 @@ func CombinedPlace(name string, modes []*lutnet.Circuit, a arch.Arch, opt Option
 	if starts < 1 {
 		starts = 1
 	}
-	var pool *anneal.Pool
-	if opt.Workers > 1 {
-		pool = anneal.NewPool(opt.Workers)
-		defer pool.Close()
-	}
 	states := make([]*state, starts)
 	costs := make([]float64, starts)
 	seeds := make([]int64, starts)
@@ -550,7 +541,6 @@ func CombinedPlace(name string, modes []*lutnet.Circuit, a arch.Arch, opt Option
 			Refine:                opt.Init != nil,
 			WarmStart:             opt.Init != nil && opt.WarmStart,
 			WarmStartTempFraction: opt.WarmStartTempFraction,
-			Pool:                  pool,
 			Obs:                   opt.Obs,
 			Ctx:                   opt.Ctx,
 		}, rng)

@@ -3,38 +3,61 @@ package place
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/anneal"
 	"repro/internal/arch"
 )
 
-// TestPlaceWorkerDeterminism is the placer half of the repo's
-// determinism-at-any-j contract: the complete Placement — every site and
-// the cost — must be identical at 1, 2 and 8 workers across seeds.
-func TestPlaceWorkerDeterminism(t *testing.T) {
-	a := arch.New(7, 7, 4)
-	for seed := int64(0); seed < 5; seed++ {
-		p := randomProblem(seed, 24, 14, 50)
-		var base *Placement
-		for _, workers := range []int{1, 2, 8} {
-			pl, err := Place(p, a, Options{Seed: seed, Effort: 0.3, Workers: workers})
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			if workers == 1 {
-				base = pl
-				continue
-			}
-			if !reflect.DeepEqual(base, pl) {
-				t.Fatalf("seed %d: placement at %d workers differs from serial", seed, workers)
-			}
+// placeConcurrently runs one Place per options entry, all at once, the
+// way job-level workers (experiments.Runner -j, mmserved -j) run
+// independent compiles side by side, and checks every placement equals
+// the same options placed alone. Under -race it also proves the placer
+// shares no mutable state between calls.
+func placeConcurrently(t *testing.T, p *Problem, a arch.Arch, opts []Options) {
+	t.Helper()
+	want := make([]*Placement, len(opts))
+	for i, opt := range opts {
+		pl, err := Place(p, a, opt)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		want[i] = pl
+	}
+	got := make([]*Placement, len(opts))
+	errs := make([]error, len(opts))
+	var wg sync.WaitGroup
+	for i, opt := range opts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = Place(p, a, opt)
+		}()
+	}
+	wg.Wait()
+	for i := range opts {
+		if errs[i] != nil {
+			t.Fatalf("concurrent job %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Fatalf("job %d: placement differs when run beside other jobs", i)
 		}
 	}
 }
 
-// TestPlaceRefineWorkerDeterminism: the refine path (Init set, opening at
-// the refinement temperature) must be worker-count deterministic too.
+// TestPlaceWorkerDeterminism: cold placements of several seeds are
+// identical whether they run alone or concurrently as job-level workers.
+func TestPlaceWorkerDeterminism(t *testing.T) {
+	var opts []Options
+	for seed := int64(0); seed < 5; seed++ {
+		opts = append(opts, Options{Seed: seed, Effort: 0.3})
+	}
+	placeConcurrently(t, randomProblem(3, 24, 14, 50), arch.New(7, 7, 4), opts)
+}
+
+// TestPlaceRefineWorkerDeterminism: the refine and warm-start paths (Init
+// set) are job-level worker deterministic too.
 func TestPlaceRefineWorkerDeterminism(t *testing.T) {
 	a := arch.New(7, 7, 4)
 	p := randomProblem(21, 24, 14, 50)
@@ -42,25 +65,16 @@ func TestPlaceRefineWorkerDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var base *Placement
-	for _, workers := range []int{1, 2, 8} {
-		pl, err := Place(p, a, Options{Seed: 4, Effort: 0.2, Init: seedPl.SiteOf, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if workers == 1 {
-			base = pl
-			continue
-		}
-		if !reflect.DeepEqual(base, pl) {
-			t.Fatalf("refine placement at %d workers differs from serial", workers)
-		}
-	}
+	placeConcurrently(t, p, a, []Options{
+		{Seed: 4, Effort: 0.2, Init: seedPl.SiteOf},
+		{Seed: 5, Effort: 0.2, Init: seedPl.SiteOf},
+		{Seed: 4, Effort: 0.2, Init: seedPl.SiteOf, WarmStart: true},
+	})
 }
 
 // TestPlaceMultiStartDeterministic: a multi-start run must equal the best
 // of the equivalent single-start runs under the (cost, seed) tiebreak,
-// at any worker count, and never be worse than its own single start.
+// and never be worse than its own single start.
 func TestPlaceMultiStartDeterministic(t *testing.T) {
 	a := arch.New(7, 7, 4)
 	p := randomProblem(31, 24, 14, 50)
@@ -78,23 +92,12 @@ func TestPlaceMultiStartDeterministic(t *testing.T) {
 		costs[i] = pl.Cost
 	}
 	want := singles[anneal.BestStart(costs, seeds)]
-	var base *Placement
-	for _, workers := range []int{1, 2, 8} {
-		pl, err := Place(p, a, Options{Seed: 5, Effort: 0.3, Starts: starts, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(want, pl) {
-			t.Fatalf("multi-start at %d workers differs from best single start (cost %v vs %v)",
-				workers, pl.Cost, want.Cost)
-		}
-		if workers == 1 {
-			base = pl
-			continue
-		}
-		if !reflect.DeepEqual(base, pl) {
-			t.Fatalf("multi-start at %d workers differs from serial multi-start", workers)
-		}
+	pl, err := Place(p, a, Options{Seed: 5, Effort: 0.3, Starts: starts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, pl) {
+		t.Fatalf("multi-start differs from best single start (cost %v vs %v)", pl.Cost, want.Cost)
 	}
 	if want.Cost > singles[0].Cost {
 		t.Fatalf("multi-start pick %v worse than first start %v", want.Cost, singles[0].Cost)
@@ -113,13 +116,13 @@ func TestEvalSlotMatchesApplySlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetupBatch(2, 1)
+	st.SetupBatch(1)
 	for i := 0; i < 4000; i++ {
 		rlim := 1 + rng.Float64()*float64(a.Width+a.Height)
 		if !st.Propose(rng, rlim, 0) {
 			continue
 		}
-		frozen := st.EvalSlot(0, i%2)
+		frozen := st.EvalSlot(0)
 		live := st.ApplySlot(0)
 		if frozen != live {
 			t.Fatalf("step %d: frozen delta %v != live delta %v", i, frozen, live)
@@ -134,7 +137,7 @@ func TestEvalSlotMatchesApplySlot(t *testing.T) {
 
 // TestPlaceBatchAccountingMatchesRecompute extends the incremental
 // exact-equality contract to the batched commit/requeue path: after
-// EVERY batch commit cycle of a real parallel anneal, each maintained
+// EVERY batch commit cycle of a real anneal, each maintained
 // net cost must equal a from-scratch HPWL recompute. The run must also
 // actually exercise the conflict-requeue path.
 func TestPlaceBatchAccountingMatchesRecompute(t *testing.T) {
@@ -149,7 +152,6 @@ func TestPlaceBatchAccountingMatchesRecompute(t *testing.T) {
 	stats := anneal.Run(st, anneal.Config{
 		Effort: 0.3, Span: a.Width + a.Height,
 		Cells: len(p.Cells), Nets: len(p.Nets),
-		Workers: 3,
 		AfterBatch: func() {
 			batch++
 			checkAgainstRecompute(t, st, batch)

@@ -116,12 +116,8 @@ type Options struct {
 	// WarmStartTempFraction scales the starting temperature when
 	// WarmStart is set (default 0.02).
 	WarmStartTempFraction float64
-	// Workers bounds the parallel evaluation of move batches. Results are
-	// byte-identical at any worker count (see internal/anneal), so
-	// Workers is a wall-clock knob only and stays out of artifact keys.
-	Workers int
 	// Starts anneals this many independently-seeded runs (Seed,
-	// Seed+StartSeedStride, ...) sharing one worker pool, and returns the
+	// Seed+StartSeedStride, ...) one after another, and returns the
 	// best by the deterministic (cost, seed) tiebreak. 0 or 1 is a single
 	// start. Starts changes results, so it IS part of artifact keys.
 	Starts int
@@ -161,11 +157,6 @@ func Place(p *Problem, a arch.Arch, opt Options) (*Placement, error) {
 		return nil, fmt.Errorf("place: %d IO cells exceed %d pad sites", nIOCells, len(ioSites))
 	}
 
-	var pool *anneal.Pool
-	if opt.Workers > 1 {
-		pool = anneal.NewPool(opt.Workers)
-		defer pool.Close()
-	}
 	states := make([]*state, starts)
 	costs := make([]float64, starts)
 	seeds := make([]int64, starts)
@@ -185,7 +176,6 @@ func Place(p *Problem, a arch.Arch, opt Options) (*Placement, error) {
 			RefineTempFraction:    opt.RefineTempFraction,
 			WarmStart:             opt.Init != nil && opt.WarmStart,
 			WarmStartTempFraction: opt.WarmStartTempFraction,
-			Pool:                  pool,
 			Obs:                   opt.Obs,
 			Ctx:                   opt.Ctx,
 		}, rng)
@@ -248,10 +238,10 @@ type state struct {
 	oldBox    []netBox
 	// Pending move for anneal.Mover (set by TryMove, used by Undo).
 	mvA, mvB int
-	// Batched-protocol state (parallel.go): recorded proposals and the
-	// per-worker frozen-evaluation scratch.
+	// Batch-protocol state (batch.go): recorded proposals and the
+	// frozen-evaluation scratch.
 	slots   []slotMove
-	scratch []evalScratch
+	scratch evalScratch
 }
 
 func newState(p *Problem, clbSites, ioSites []arch.Site, rng *rand.Rand, init []arch.Site) (*state, error) {

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 )
 
 // countingCtx reports cancellation from its cancelAt-th Err call on,
@@ -39,40 +37,6 @@ func TestRouteCancelWithinOneIteration(t *testing.T) {
 		if ctx.calls != cancelAt {
 			t.Fatalf("cancel at poll %d: context polled %d times", cancelAt, ctx.calls)
 		}
-	}
-}
-
-// TestRouteCancelStopsPool cancels a parallel route mid-negotiation, once
-// its worker pool is seen running: the route returns context.Canceled
-// and the pool is gone afterwards, leaving the goroutine count where it
-// started.
-func TestRouteCancelStopsPool(t *testing.T) {
-	g, nets := unroutableWorkload()
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	poolSeen := make(chan bool, 1)
-	go func() {
-		// The canceller plus the 3 pool workers (the caller is worker 0).
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() < before+4 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		poolSeen <- runtime.NumGoroutine() >= before+4
-		cancel()
-	}()
-	_, err := Route(g, nets, Options{MaxIters: 1 << 30, Workers: 4, Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Route = %v, want context.Canceled", err)
-	}
-	if !<-poolSeen {
-		t.Fatal("the worker pool never ran before the cancel")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the cancelled route, started with %d", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

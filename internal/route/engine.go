@@ -5,16 +5,13 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/arch"
 )
 
-// batchConns is the target number of connections per parallel batch. It is
-// a fixed constant — never derived from Options.Workers — because batch
-// composition decides which connections see which congestion snapshot:
-// deriving it from the worker count would make results depend on it.
+// batchConns is the target number of connections per batch. It is a fixed
+// constant because batch composition decides which connections see which
+// frozen congestion snapshot: changing it moves every routed result.
 const batchConns = 64
 
 // histExtraDiv bounds the history-driven reroute set: at most
@@ -107,15 +104,7 @@ type router struct {
 	allMask uint64
 	nets    []netRT // canonical order
 
-	searchers []*searcher
-
-	// Persistent parallel-batch pool: opt.Workers-1 goroutines started at
-	// the first parallel batch and fed one batchRun per routeBatch call
-	// through dedicated channels (the caller is worker 0). Iterations no
-	// longer pay goroutine startup per batch — the pool lives for the
-	// whole negotiation loop.
-	poolWake []chan *batchRun
-	poolRun  batchRun
+	search *searcher
 
 	// Worklist scratch reused across iterations: jobs is the flat per-net
 	// job list, batchEnds its batch boundaries, dirtyBuf the backing array
@@ -230,10 +219,7 @@ func newRouter(g *arch.Graph, nets []Net, opt Options) *router {
 	for i := range r.touchedBy {
 		r.touchedBy[i] = -1
 	}
-	r.searchers = make([]*searcher, opt.Workers)
-	for i := range r.searchers {
-		r.searchers[i] = newSearcher(r)
-	}
+	r.search = newSearcher(r)
 	// Fixed-capacity dirty backing array: an iteration schedules at most
 	// every connection, so subslices handed to jobs never reallocate.
 	r.dirtyBuf = make([]int32, 0, r.stats.Connections)
@@ -544,7 +530,6 @@ func (r *router) commitOne(N *netRT, ci int32, p []int32) {
 // run executes the negotiation loop.
 func (r *router) run() (*Result, error) {
 	g := r.g
-	defer r.stopPool()
 	var requeue []connRef
 	bestOverused := int(^uint(0) >> 1)
 	stall := 0
@@ -621,16 +606,17 @@ func (r *router) run() (*Result, error) {
 			for ji := range batch {
 				r.ripNet(&r.nets[batch[ji].net], batch[ji].dirty)
 			}
-			// Route phase: occ/hist/presFac are frozen; each job depends
-			// only on that state plus its own net, so worker scheduling
-			// cannot change any result.
-			r.routeBatch(batch)
+			// Route phase: occ/hist/presFac stay frozen for the whole
+			// batch; each job depends only on that state plus its own net.
+			for ji := range batch {
+				r.search.routeJob(&batch[ji])
+			}
 			for ji := range batch {
 				if err := batch[ji].err; err != nil {
 					return nil, fmt.Errorf("route: net %q: %w", r.nets[batch[ji].net].name, err)
 				}
 			}
-			// Commit phase: serial, canonical order.
+			// Commit phase: canonical order.
 			for ji := range batch {
 				r.commitNet(batch[ji].net, &batch[ji], &requeue)
 			}
@@ -640,12 +626,11 @@ func (r *router) run() (*Result, error) {
 			r.touchedList = r.touchedList[:0]
 		}
 
-		// Requeue fallback: conflicting commits reroute serially against
-		// live congestion, still in canonical order.
-		s := r.searchers[0]
+		// Requeue fallback: conflicting commits reroute one at a time
+		// against live congestion, still in canonical order.
 		for _, cr := range requeue {
 			N := &r.nets[cr.net]
-			p, err := s.routeOne(N, cr.conn)
+			p, err := r.search.routeOne(N, cr.conn)
 			if err != nil {
 				return nil, fmt.Errorf("route: net %q: %w", N.name, err)
 			}
@@ -707,88 +692,6 @@ func (r *router) run() (*Result, error) {
 		}
 	}
 	return nil, &ErrUnroutable{Overused: overused, Iters: r.stats.Iterations, Detail: detail}
-}
-
-// batchRun is the unit of work handed to the persistent pool: workers
-// pull job indices from next until the batch is drained, then signal wg.
-type batchRun struct {
-	batch []job
-	next  atomic.Int32
-	wg    sync.WaitGroup
-}
-
-// startPool lazily starts the opt.Workers-1 pool goroutines; the caller
-// of routeBatch acts as worker 0. Each worker owns searchers[w+1] and a
-// dedicated wake channel carrying one *batchRun per routeBatch call;
-// closing the channels (stopPool) shuts the pool down. The goroutines —
-// and their searcher scratch — live for the whole negotiation loop, so
-// iterations stop re-paying goroutine startup per batch.
-func (r *router) startPool() {
-	r.poolWake = make([]chan *batchRun, r.opt.Workers-1)
-	for w := range r.poolWake {
-		wake := make(chan *batchRun)
-		r.poolWake[w] = wake
-		s := r.searchers[w+1]
-		go func() {
-			for br := range wake {
-				for {
-					ji := int(br.next.Add(1)) - 1
-					if ji >= len(br.batch) {
-						break
-					}
-					s.routeJob(&br.batch[ji])
-				}
-				br.wg.Done()
-			}
-		}()
-	}
-}
-
-// stopPool shuts the persistent workers down. Safe when the pool was
-// never started.
-func (r *router) stopPool() {
-	for _, wake := range r.poolWake {
-		close(wake)
-	}
-	r.poolWake = nil
-}
-
-// routeBatch runs the batch's jobs on the persistent worker pool. Workers
-// pull jobs from an atomic counter; each job's result is a pure function
-// of the frozen congestion state, so the pull order — and the number of
-// workers woken — is irrelevant to results.
-func (r *router) routeBatch(batch []job) {
-	if r.opt.Workers <= 1 || len(batch) <= 1 {
-		s := r.searchers[0]
-		for ji := range batch {
-			s.routeJob(&batch[ji])
-		}
-		return
-	}
-	if r.poolWake == nil {
-		r.startPool()
-	}
-	br := &r.poolRun
-	br.batch = batch
-	br.next.Store(0)
-	nWake := len(r.poolWake)
-	if nWake > len(batch)-1 {
-		nWake = len(batch) - 1
-	}
-	br.wg.Add(nWake)
-	for _, wake := range r.poolWake[:nWake] {
-		wake <- br
-	}
-	s := r.searchers[0] // the caller is worker 0
-	for {
-		ji := int(br.next.Add(1)) - 1
-		if ji >= len(batch) {
-			break
-		}
-		s.routeJob(&batch[ji])
-	}
-	br.wg.Wait()
-	br.batch = nil
 }
 
 // markDirty schedules the next iteration's reroute set: every connection
@@ -903,10 +806,8 @@ func (r *router) result() *Result {
 		r.wipeUnion()
 		trees[N.orig] = t
 	}
-	for _, s := range r.searchers {
-		r.stats.HeapPushes += s.heapPushes
-		r.stats.NodesVisited += s.nodesVisited
-	}
+	r.stats.HeapPushes = r.search.heapPushes
+	r.stats.NodesVisited = r.search.nodesVisited
 	res := &Result{Trees: trees, Iterations: r.stats.Iterations, Stats: r.stats}
 	return res
 }

@@ -50,26 +50,21 @@ var goldenRouted = map[int64]uint64{
 }
 
 // TestRoutedResultGoldenHashes asserts byte-identical routed results
-// across the SoA layout swap, at every worker count the determinism
-// contract names (-routej 1/2/8).
+// across the SoA layout swap and the removal of the router's worker pool.
 func TestRoutedResultGoldenHashes(t *testing.T) {
 	for seed, want := range goldenRouted {
 		g, nets, opt := randomWorkload(seed)
-		for _, workers := range []int{1, 2, 8} {
-			o := opt
-			o.Workers = workers
-			res, err := Route(g, nets, o)
-			if err != nil {
-				var un *ErrUnroutable
-				if errors.As(err, &un) {
-					t.Fatalf("seed %d workers %d: workload became unroutable: %v", seed, workers, err)
-				}
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+		res, err := Route(g, nets, opt)
+		if err != nil {
+			var un *ErrUnroutable
+			if errors.As(err, &un) {
+				t.Fatalf("seed %d: workload became unroutable: %v", seed, err)
 			}
-			if got := hashResult(res); got != want {
-				t.Errorf("seed %d workers %d: routed result hash %#x, golden %#x — routed results moved",
-					seed, workers, got, want)
-			}
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got := hashResult(res); got != want {
+			t.Errorf("seed %d: routed result hash %#x, golden %#x — routed results moved",
+				seed, got, want)
 		}
 	}
 }

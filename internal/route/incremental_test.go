@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -202,35 +203,44 @@ func TestFullRipUpAlsoLegal(t *testing.T) {
 	}
 }
 
-// TestRouteWorkerDeterminism asserts the parallel iteration's contract:
-// the complete Result — trees, iteration counts, reroute and requeue
-// statistics — is identical at worker counts 1, 2 and 8.
+// TestRouteWorkerDeterminism: the complete Result — trees, iteration
+// counts, reroute and requeue statistics — is identical whether a route
+// runs alone or beside others, the way job-level workers (experiments
+// Runner -j, mmserved -j) run independent compiles. Every workload is
+// routed twice at once, so two routers also share each graph; under
+// -race this proves concurrent routers share no mutable state.
 func TestRouteWorkerDeterminism(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		g, nets, opt := randomWorkload(seed)
-		var base *Result
-		for _, workers := range []int{1, 2, 8} {
-			o := opt
-			o.Workers = workers
-			res, err := Route(g, nets, o)
-			if err != nil {
-				var un *ErrUnroutable
-				if errors.As(err, &un) && workers == 1 {
-					base = nil
-					break // unroutable at this seed; skip
-				}
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			if workers == 1 {
-				base = res
-				continue
-			}
-			if base == nil {
-				t.Fatalf("seed %d: routable at %d workers but not serially", seed, workers)
-			}
-			if !reflect.DeepEqual(base, res) {
-				t.Fatalf("seed %d: result at %d workers differs from serial", seed, workers)
-			}
+	const seeds = 8
+	type outcome struct {
+		res *Result
+		err error
+	}
+	route := func(seed int) outcome {
+		g, nets, opt := randomWorkload(int64(seed))
+		res, err := Route(g, nets, opt)
+		return outcome{res, err}
+	}
+	var want [seeds]outcome
+	for seed := range want {
+		want[seed] = route(seed)
+	}
+	var got [2 * seeds]outcome
+	var wg sync.WaitGroup
+	for seed := range seeds {
+		g, nets, opt := randomWorkload(int64(seed))
+		for _, i := range []int{seed, seeds + seed} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := Route(g, nets, opt)
+				got[i] = outcome{res, err}
+			}()
+		}
+	}
+	wg.Wait()
+	for i, o := range got {
+		if !reflect.DeepEqual(want[i%seeds], o) {
+			t.Fatalf("seed %d: result differs when routed beside other jobs", i%seeds)
 		}
 	}
 }

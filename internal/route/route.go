@@ -12,14 +12,13 @@
 // new connections attach to the existing tree, so partial reroutes reuse
 // everything that already converged.
 //
-// Iterations are parallel and deterministic: connections are processed in
-// fixed-size batches; a bounded worker pool routes a batch against frozen
-// congestion state, and results are committed serially in canonical net
-// order. A commit that would newly overuse a node another net claimed in
-// the same batch is requeued and rerouted serially against live state.
-// Because batch composition and commit order never depend on the worker
-// count, the same seed yields byte-identical routings at any Workers
-// value — the same rule mmbench applies to its -j flag.
+// Iterations are batched and deterministic: connections are processed in
+// fixed-size batches; every connection of a batch is routed against
+// congestion state frozen for the batch, and results are committed in
+// canonical net order. A commit that would newly overuse a node another
+// net claimed in the same batch is requeued and rerouted against live
+// state. Batch composition and commit order are fixed, so the batch
+// protocol — not evaluation order — defines every routed result.
 //
 // The routing-resource graph itself is never written, so one graph can be
 // shared by any number of concurrently running routers.
@@ -85,19 +84,18 @@ type Stats struct {
 	// least one such connection.
 	WarmConns int
 	WarmNets  int
-	// Requeued counts parallel commits that conflicted and fell back to a
-	// serial reroute. Deterministic: conflicts depend on batch composition
-	// and commit order, not on worker scheduling.
+	// Requeued counts batch commits that conflicted and were rerouted
+	// against live state. Deterministic: conflicts depend on batch
+	// composition and commit order alone.
 	Requeued int
 	// PeakOveruse is the worst single-mode overuse observed on any node
 	// across all iterations.
 	PeakOveruse int
 	// HeapPushes and NodesVisited count the A* inner loop's work: priority
 	// queue improvements (inserts plus decrease-keys) and node expansions
-	// across every search, summed over all workers. Each connection's
-	// search is a pure function of the congestion state it runs against,
-	// so both counts are byte-identical at any Workers value, like the
-	// routed trees themselves.
+	// across every search. Each connection's search is a pure function of
+	// the congestion state it runs against, so both counts are as
+	// reproducible as the routed trees themselves.
 	HeapPushes   int64
 	NodesVisited int64
 }
@@ -155,10 +153,6 @@ type Options struct {
 	// pins and sinks — each mode reconfigures the switches for itself.
 	// Default 1 (ordinary single-mode routing).
 	ModeCount int
-	// Workers is the number of goroutines routing each batch of
-	// connections (default 1). The result is byte-identical at any value;
-	// only the wall clock changes.
-	Workers int
 	// FullRipUp disables the incremental engine: every connection is
 	// ripped up and rerouted on every iteration, as in classic whole-net
 	// PathFinder. The baseline for BenchmarkRoute and a debugging aid.
@@ -210,16 +204,6 @@ func (o *Options) fill() {
 	}
 	if o.ModeCount == 0 {
 		o.ModeCount = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
-	// More workers than a batch has connections can never help, and each
-	// worker owns O(NumNodes) search scratch — clamping bounds the
-	// allocation against absurd requests (the knob arrives over the wire
-	// via the compile service).
-	if o.Workers > batchConns {
-		o.Workers = batchConns
 	}
 }
 
@@ -343,7 +327,7 @@ func observe(reg *obs.Registry, s *Stats) {
 		rerouted.Observe(float64(n))
 	}
 	reg.Histogram("mm_route_requeued_connections",
-		"Parallel commits that conflicted and fell back to serial reroute, per Route call.",
+		"Batch commits that conflicted and were rerouted against live state, per Route call.",
 		obs.WorkBuckets).Observe(float64(s.Requeued))
 	reg.Histogram("mm_route_heap_pushes",
 		"A* priority-queue pushes and decrease-keys per Route call.", obs.WorkBuckets).

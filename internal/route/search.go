@@ -47,11 +47,10 @@ func (a seedItem) less(b seedItem) bool {
 	return a.node < b.node
 }
 
-// searcher is the per-worker search state: the A* scratch plus the
+// searcher is the router's search state: the A* scratch plus the
 // net-local tree view (seed membership and parent pointers) used to grow
-// full source-rooted paths. Every worker owns one, so batch routing needs
-// no locks — workers read the router's frozen congestion arrays and write
-// only their own searcher.
+// full source-rooted paths. A search reads the router's congestion arrays
+// and writes only the searcher.
 type searcher struct {
 	r *router
 
@@ -73,10 +72,9 @@ type searcher struct {
 	seedList []int32
 	prefix   []int32 // scratch for the source→attach prefix walk
 
-	// Inner-loop work counters, summed into Stats by router.result(). Each
+	// Inner-loop work counters, copied into Stats by router.result(). Each
 	// connection's search is a pure function of the congestion state it
-	// runs against, and every job is routed exactly once, so the sums are
-	// worker-count-invariant.
+	// runs against, so the counts are part of the seeded trajectory.
 	heapPushes   int64
 	nodesVisited int64
 }

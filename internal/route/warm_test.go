@@ -84,15 +84,6 @@ func TestWarmStartPartialReuse(t *testing.T) {
 	if warm.Stats.WarmConns != cold.Stats.Connections-1 {
 		t.Fatalf("seeded %d connections, want %d", warm.Stats.WarmConns, cold.Stats.Connections-1)
 	}
-	// The warm result must match a cold route at any worker count
-	// (determinism contract extends to warm starts).
-	warmJ4, err := Route(g, edited, Options{Warm: warmTrees(cold), Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(warm.Trees, warmJ4.Trees) {
-		t.Fatal("warm routing differs between 1 and 4 workers")
-	}
 }
 
 // Garbage baselines — wrong length is an error; out-of-range nodes or

@@ -323,6 +323,9 @@ func (d *Dispatcher) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	nls, err := ParseModes(&req)
+	if err == nil {
+		err = req.validate()
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, &Result{Error: err.Error()})
 		return

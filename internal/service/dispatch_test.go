@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/flow"
 )
 
 // fakeBackend is a stub worker: it answers /compile with a canned status
@@ -436,5 +438,38 @@ func TestServerAdmissionControl(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz: status %d", resp.StatusCode)
+	}
+}
+
+// TestStartsAboveLimitRejected: a request asking for more than maxStarts
+// multi-start anneals is refused with 400 by a worker and by the
+// dispatcher, which never forwards it.
+func TestStartsAboveLimitRejected(t *testing.T) {
+	req := testRequest(t)
+	req.Starts = maxStarts + 1
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := httptest.NewServer(NewServer(flow.NewCache(), 1).Handler())
+	t.Cleanup(worker.Close)
+	backend := newFakeBackend(t, http.StatusOK, `{}`)
+	_, dispatcher := newTestDispatcher(t, DispatchOptions{}, backend.ts.URL)
+	for name, url := range map[string]string{"worker": worker.URL, "dispatcher": dispatcher.URL} {
+		resp, err := http.Post(url+"/compile", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %d starts answered %d, want 400", name, req.Starts, resp.StatusCode)
+		}
+	}
+	if served := backend.servedKeys(); len(served) != 0 {
+		t.Fatalf("dispatcher forwarded a rejected request: %v", served)
+	}
+	req.Starts = maxStarts
+	if err := req.validate(); err != nil {
+		t.Fatalf("%d starts rejected: %v", maxStarts, err)
 	}
 }

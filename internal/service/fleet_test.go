@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,44 +175,101 @@ func TestFleetRemoteDownMidRun(t *testing.T) {
 	}
 }
 
+// staleClientBody returns body with the route_workers and place_workers
+// knobs older clients sent, at values that would have started a million
+// goroutines per kernel had anything still honoured them.
+func staleClientBody(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["route_workers"] = 1000000
+	m["place_workers"] = 1000000
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestFleetWorkerCountIndependence pins the determinism contract the
-// fleet relies on: worker-pool sizes are execution detail, not identity
-// — the same request compiled cold under different parallelism knobs
-// yields byte-identical results, which is why RouteWorkers/PlaceWorkers
-// are excluded from RequestKey and artifacts are shareable fleet-wide.
+// fleet relies on: the worker-pool size is execution detail, not
+// identity — the same request compiled cold by a 1-worker and a 4-worker
+// server yields byte-identical results, so artifacts are shareable
+// fleet-wide. It is also the trust-boundary regression for old clients:
+// a body still carrying route_workers/place_workers compiles with 200 to
+// the same bytes and the same RequestKey, and the absurd values it
+// carries start no goroutines.
 func TestFleetWorkerCountIndependence(t *testing.T) {
+	plain, err := json.Marshal(testRequest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := staleClientBody(t, plain)
 	var results [][]byte
-	for _, workers := range []int{1, 4} {
+	for _, c := range []struct {
+		pool int
+		body []byte
+	}{{1, plain}, {4, plain}, {4, stale}} {
 		st, err := store.Open(t.TempDir(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := NewServer(flow.NewCacheWithStore(st), workers)
+		srv := NewServer(flow.NewCacheWithStore(st), c.pool)
 		ts := httptest.NewServer(srv.Handler())
-		req := testRequest(t)
-		req.RouteWorkers = workers
-		req.PlaceWorkers = workers
-		body, _ := json.Marshal(req)
-		status, out := postCompileRaw(t, ts.URL, body)
+		// Sample the goroutine count for the whole compile: a kernel
+		// sizing a pool from the stale knobs would show up as a spike.
+		before := runtime.NumGoroutine()
+		var peak atomic.Int64
+		stop := make(chan struct{})
+		sampled := make(chan struct{})
+		go func() {
+			defer close(sampled)
+			for {
+				if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+					peak.Store(n)
+				}
+				select {
+				case <-stop:
+					return
+				case <-time.After(time.Millisecond):
+				}
+			}
+		}()
+		status, out := postCompileRaw(t, ts.URL, c.body)
+		close(stop)
+		<-sampled
 		ts.Close()
 		if status != http.StatusOK {
-			t.Fatalf("workers=%d: status %d: %s", workers, status, out)
+			t.Fatalf("pool=%d: status %d: %s", c.pool, status, out)
+		}
+		if p := int(peak.Load()); p > before+64 {
+			t.Fatalf("pool=%d: %d goroutines during the compile, %d before", c.pool, p, before)
 		}
 		results = append(results, stripTimings(t, out))
 	}
 	if !bytes.Equal(results[0], results[1]) {
-		t.Fatal("cold compiles at different worker counts diverged")
+		t.Fatal("cold compiles at different server pool sizes diverged")
+	}
+	if !bytes.Equal(results[1], results[2]) {
+		t.Fatal("a body carrying the stale worker knobs compiled to different bytes")
 	}
 
-	// The knobs that differ must not have changed the request identity —
-	// otherwise the fleet's cross-worker warm path could never hit.
-	req1, req4 := testRequest(t), testRequest(t)
-	req4.RouteWorkers, req4.PlaceWorkers = 4, 4
-	nls, err := ParseModes(req1)
+	// The stale knobs must not change the request identity — otherwise
+	// old clients would miss the fleet's cross-worker warm path.
+	var plainReq, staleReq CompileRequest
+	if err := json.Unmarshal(plain, &plainReq); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(stale, &staleReq); err != nil {
+		t.Fatal(err)
+	}
+	nls, err := ParseModes(&plainReq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if RequestKey(nls, req1) != RequestKey(nls, req4) {
-		t.Fatal("worker-count knobs leaked into RequestKey")
+	if RequestKey(nls, &plainReq) != RequestKey(nls, &staleReq) {
+		t.Fatal("stale worker knobs leaked into RequestKey")
 	}
 }

@@ -295,7 +295,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, &Result{Error: err.Error()})
 		return
 	}
-	if _, err := req.objective(); err != nil {
+	if err := req.validate(); err != nil {
 		writeJSON(w, http.StatusBadRequest, &Result{Error: err.Error()})
 		return
 	}

@@ -29,6 +29,9 @@ type Mode struct {
 
 // CompileRequest asks for a full multi-mode comparison of N ≥ 2 modes.
 // Zero-valued knobs take the flow defaults (K=4, effort 1.0, seed 0).
+// Unknown fields are ignored, among them the route_workers and
+// place_workers knobs older clients still send: they never changed a
+// result, and every kernel now runs serially within its compile.
 type CompileRequest struct {
 	Modes []Mode `json:"modes"`
 	// K is the LUT input count.
@@ -43,18 +46,9 @@ type CompileRequest struct {
 	// comparison needs them); this picks which one the flat fields
 	// describe.
 	Objective string `json:"objective,omitempty"`
-	// RouteWorkers sets the router's worker count. Routing is
-	// byte-identical at any value, so this knob is deliberately NOT part
-	// of RequestKey: requests differing only in worker count share one
-	// cached result.
-	RouteWorkers int `json:"route_workers,omitempty"`
-	// PlaceWorkers sets the annealers' worker count. Like RouteWorkers,
-	// placement is byte-identical at any value, so this knob is
-	// deliberately NOT part of RequestKey.
-	PlaceWorkers int `json:"place_workers,omitempty"`
 	// Starts is the multi-start count: run that many independently seeded
-	// anneals and keep the best. Unlike the worker knobs it changes
-	// results, so it IS part of RequestKey.
+	// anneals and keep the best (at most maxStarts). It changes results,
+	// so it IS part of RequestKey.
 	Starts int `json:"starts,omitempty"`
 	// BaselineKey, when set, is the baseline key a prior compile returned
 	// (Result.BaselineKey): the flow then recompiles as an ECO delta —
@@ -118,7 +112,7 @@ type SwitchInfo struct {
 // RoutingInfo aggregates the router's work statistics over every final
 // route of the compile (the MDR per-mode routes plus both DCS TRoute
 // passes; region-sizing probes are excluded). Deterministic — the numbers
-// do not depend on the worker count — so they are safely part of the
+// are part of the seeded trajectory — so they are safely part of the
 // cached result.
 type RoutingInfo struct {
 	// Iterations is the summed negotiation iteration count.
@@ -181,6 +175,24 @@ type Result struct {
 	Timings []obs.StageTiming `json:"timings,omitempty"`
 }
 
+// maxStarts bounds CompileRequest.Starts: every start is a full anneal
+// whose state is held until the best is picked, so an unbounded count
+// from the wire would buy unbounded CPU and memory.
+const maxStarts = 16
+
+// validate rejects knobs no compile should run with: an unknown objective
+// or more than maxStarts starts. Both the worker and the dispatcher call
+// it, so a bad request is refused before any work is queued.
+func (req *CompileRequest) validate() error {
+	if _, err := req.objective(); err != nil {
+		return err
+	}
+	if req.Starts > maxStarts {
+		return fmt.Errorf("service: %d starts exceed the limit of %d", req.Starts, maxStarts)
+	}
+	return nil
+}
+
 // objective resolves the requested combined-placement objective.
 func (req *CompileRequest) objective() (merge.Objective, error) {
 	switch strings.ToLower(req.Objective) {
@@ -200,8 +212,6 @@ func (req *CompileRequest) config(cache *flow.Cache) flow.Config {
 		PlaceEffort:        req.Effort,
 		RefineTempFraction: req.RefineFrac,
 		Seed:               req.Seed,
-		RouteWorkers:       req.RouteWorkers,
-		PlaceWorkers:       req.PlaceWorkers,
 		PlaceStarts:        req.Starts,
 		Baseline:           req.BaselineKey,
 		Cache:              cache,
@@ -235,8 +245,7 @@ func ParseModes(req *CompileRequest) ([]*netlist.Netlist, error) {
 // requests on.
 func RequestKey(nls []*netlist.Netlist, req *CompileRequest) codec.Hash {
 	w := codec.NewWriter()
-	// v2: the multi-start count joined the identity (the worker knobs
-	// deliberately stay out — they never change results).
+	// v2: the multi-start count joined the identity.
 	w.Header("compile-request", 2)
 	w.Uvarint(uint64(len(nls)))
 	for _, n := range nls {

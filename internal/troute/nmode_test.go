@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -135,32 +136,43 @@ func TestPerModePrunedTreesLegal(t *testing.T) {
 	}
 }
 
-// TestNModeRouteWorkerDeterminism asserts the parallel router's contract
+// TestNModeRouteWorkerDeterminism asserts the router's determinism
 // through the full TRoute stack on a 3-mode group: trees, bit
-// classification and per-mode accounting must be identical at worker
-// counts 1, 2 and 8.
+// classification and per-mode accounting must be identical whether the
+// group routes alone or beside copies of itself on one shared graph, the
+// way job-level workers (experiments.Runner -j, mmserved -j) share a
+// cached graph.
 func TestNModeRouteWorkerDeterminism(t *testing.T) {
 	res, a := mergedModes(t, []int64{121, 122, 123}, 28)
 	g := arch.BuildGraph(a)
-	var base *Result
-	for _, workers := range []int{1, 2, 8} {
-		tr, err := RouteTunable(g, res.Tunable, res.LUTSite, res.PadSite, route.Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if workers == 1 {
-			base = tr
-			continue
+	base, err := RouteTunable(g, res.Tunable, res.LUTSite, res.PadSite, route.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*Result, 3)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = RouteTunable(g, res.Tunable, res.LUTSite, res.PadSite, route.Options{})
+		}()
+	}
+	wg.Wait()
+	for i, tr := range got {
+		if errs[i] != nil {
+			t.Fatalf("job %d: %v", i, errs[i])
 		}
 		if !reflect.DeepEqual(base.Route, tr.Route) {
-			t.Fatalf("workers %d: routing differs from serial", workers)
+			t.Fatalf("job %d: routing differs from the lone route", i)
 		}
 		if !reflect.DeepEqual(base.BitModes, tr.BitModes) {
-			t.Fatalf("workers %d: bit classification differs from serial", workers)
+			t.Fatalf("job %d: bit classification differs from the lone route", i)
 		}
 		if base.ParamRoutingBits != tr.ParamRoutingBits || base.StaticOnBits != tr.StaticOnBits ||
 			!reflect.DeepEqual(base.PerModeWire, tr.PerModeWire) || base.TotalWire != tr.TotalWire {
-			t.Fatalf("workers %d: accounting differs from serial", workers)
+			t.Fatalf("job %d: accounting differs from the lone route", i)
 		}
 	}
 }

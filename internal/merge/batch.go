@@ -1,9 +1,9 @@
 // Batch-protocol support: the combined-placement state implements the
-// batch half of anneal.Mover. As in package place, the load-bearing contract is
-// EvalSlot ≡ ApplySlot on unchanged state: the frozen evaluation replays
-// applyMove's exact affected-position order and per-position cost
-// computation through a view of the arrays with the proposed swap
-// applied, so the delta matches bit for bit.
+// batch half of anneal.Mover. As in package place, the load-bearing
+// contract is EvalSlot ≡ ApplySlot on unchanged state: the frozen
+// evaluation replays applyMove's exact affected-position order and
+// per-position cost computation through a view of the arrays with the
+// proposed swap applied, so the delta matches bit for bit.
 package merge
 
 import (
@@ -62,10 +62,9 @@ func (st *state) ApplySlot(slot int) float64 {
 }
 
 // EvalSlot implements anneal.Mover: applyMove's delta computed
-// read-only against the frozen state. The
-// affected-position list is built pre-swap from the live arrays (exactly
-// as applyMove builds it), then each position is re-costed through a view
-// with the swap applied.
+// read-only against the frozen state. The affected-position list is built
+// pre-swap from the live arrays (exactly as applyMove builds it), then
+// each position is re-costed through a view with the swap applied.
 func (st *state) EvalSlot(slot int) float64 {
 	s := st.slots[slot]
 	sc := &st.scratch

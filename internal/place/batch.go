@@ -71,11 +71,10 @@ func (st *state) ApplySlot(slot int) float64 {
 }
 
 // EvalSlot implements anneal.Mover: applySwap's cost delta computed
-// read-only against the frozen placement. It
-// replays applySwap's exact sequence on a simulated view — occupant of
-// posA at posB's coordinates and vice versa, one cell "moved" at a time
-// for the box updates — so the result matches a real applySwap on this
-// state bit for bit.
+// read-only against the frozen placement. It replays applySwap's exact
+// sequence on a simulated view — occupant of posA at posB's coordinates
+// and vice versa, one cell "moved" at a time for the box updates — so the
+// result matches a real applySwap on this state bit for bit.
 func (st *state) EvalSlot(slot int) float64 {
 	s := st.slots[slot]
 	sc := &st.scratch

@@ -451,8 +451,8 @@ func (st *state) updateBox(ni int, ox, oy, nx, ny int32) {
 // boxStep is the pure incremental half of updateBox: it applies one cell
 // move to the box and reports whether the counters survived. false means
 // the move vacated an edge and the caller must rescan — the live path
-// recomputes from the coordinate arrays, the frozen parallel evaluation
-// (parallel.go) from an overridden view of them. Once the X axis demands
+// recomputes from the coordinate arrays, the frozen batch evaluation
+// (batch.go) from an overridden view of them. Once the X axis demands
 // a rescan the Y-axis counters are left untouched (the rescan rebuilds
 // everything), matching the historical updateBox short-circuit exactly.
 func boxStep(b *netBox, ox, oy, nx, ny int32) bool {

@@ -76,7 +76,6 @@ type job struct {
 	net   int32
 	dirty []int32
 	paths [][]int32
-	err   error
 }
 
 // router carries the PathFinder state. Occupancy is per mode: a node is
@@ -609,10 +608,7 @@ func (r *router) run() (*Result, error) {
 			// Route phase: occ/hist/presFac stay frozen for the whole
 			// batch; each job depends only on that state plus its own net.
 			for ji := range batch {
-				r.search.routeJob(&batch[ji])
-			}
-			for ji := range batch {
-				if err := batch[ji].err; err != nil {
+				if err := r.search.routeJob(&batch[ji]); err != nil {
 					return nil, fmt.Errorf("route: net %q: %w", r.nets[batch[ji].net].name, err)
 				}
 			}

@@ -132,7 +132,7 @@ func (s *searcher) wipeTree() {
 // congestion state, filling jb.paths with full source→sink paths. The
 // net's tree grows connection by connection within the job, so later
 // connections attach to segments found for earlier ones.
-func (s *searcher) routeJob(jb *job) {
+func (s *searcher) routeJob(jb *job) error {
 	N := &s.r.nets[jb.net]
 	s.seedTree(N)
 	defer s.wipeTree()
@@ -140,14 +140,14 @@ func (s *searcher) routeJob(jb *job) {
 	for k, ci := range jb.dirty {
 		p, err := s.connect(N, &N.conns[ci])
 		if err != nil {
-			jb.err = err
-			return
+			return err
 		}
 		jb.paths[k] = p
 	}
+	return nil
 }
 
-// routeOne reroutes a single connection (the serial requeue fallback)
+// routeOne reroutes a single connection (the requeue fallback)
 // against live congestion state.
 func (s *searcher) routeOne(N *netRT, ci int32) ([]int32, error) {
 	s.seedTree(N)

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,15 +220,13 @@ func TestFleetWorkerCountIndependence(t *testing.T) {
 		// Sample the goroutine count for the whole compile: a kernel
 		// sizing a pool from the stale knobs would show up as a spike.
 		before := runtime.NumGoroutine()
-		var peak atomic.Int64
+		peak := 0 // written by the sampler only, read after it exits
 		stop := make(chan struct{})
 		sampled := make(chan struct{})
 		go func() {
 			defer close(sampled)
 			for {
-				if n := int64(runtime.NumGoroutine()); n > peak.Load() {
-					peak.Store(n)
-				}
+				peak = max(peak, runtime.NumGoroutine())
 				select {
 				case <-stop:
 					return
@@ -244,8 +241,15 @@ func TestFleetWorkerCountIndependence(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("pool=%d: status %d: %s", c.pool, status, out)
 		}
-		if p := int(peak.Load()); p > before+64 {
-			t.Fatalf("pool=%d: %d goroutines during the compile, %d before", c.pool, p, before)
+		if peak > before+64 {
+			t.Fatalf("pool=%d: %d goroutines during the compile, %d before", c.pool, peak, before)
+		}
+		// Nothing the compile started may outlive it.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("pool=%d: %d goroutines after the compile, %d before", c.pool, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
 		}
 		results = append(results, stripTimings(t, out))
 	}

@@ -29,9 +29,9 @@ type Mode struct {
 
 // CompileRequest asks for a full multi-mode comparison of N ≥ 2 modes.
 // Zero-valued knobs take the flow defaults (K=4, effort 1.0, seed 0).
-// Unknown fields are ignored, among them the route_workers and
-// place_workers knobs older clients still send: they never changed a
-// result, and every kernel now runs serially within its compile.
+// Unknown fields are ignored — among them the route_workers and
+// place_workers knobs older clients still send, which no kernel reads:
+// every kernel runs serially within its compile.
 type CompileRequest struct {
 	Modes []Mode `json:"modes"`
 	// K is the LUT input count.

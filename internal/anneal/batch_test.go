@@ -2,8 +2,68 @@ package anneal
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
+
+// TestBatchedWorkerDeterminism: runs on separate movers share no kernel
+// state, so the same seed annealed on several goroutines at once must
+// yield the serial run's final state and move/accept/requeue/batch
+// statistics on every goroutine.
+func TestBatchedWorkerDeterminism(t *testing.T) {
+	run := func() ([]int, RunStats) {
+		rng := rand.New(rand.NewSource(321))
+		m := newLineMover(40, rng, false)
+		stats := Run(m, Config{Effort: 1, Span: 40, Cells: 40, Nets: 39}, rng)
+		return append([]int(nil), m.posOf...), stats
+	}
+	basePos, baseStats := run()
+	if baseStats.Batches == 0 || baseStats.Moves == 0 {
+		t.Fatalf("batched path not exercised: %+v", baseStats)
+	}
+	const workers = 4
+	pos := make([][]int, workers)
+	stats := make([]RunStats, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			pos[w], stats[w] = run()
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		if !reflect.DeepEqual(basePos, pos[w]) {
+			t.Fatalf("final state on goroutine %d differs from serial", w)
+		}
+		if stats[w] != baseStats {
+			t.Fatalf("stats on goroutine %d %+v differ from serial %+v", w, stats[w], baseStats)
+		}
+	}
+}
+
+// TestBatchedImprovesAndStaysExact: quality and bookkeeping sanity of the
+// batched protocol on a larger line — the toy problem still optimises,
+// the maintained cost matches a from-scratch recompute at the end, and
+// the run statistics are consistent with one another.
+func TestBatchedImprovesAndStaysExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	m := newLineMover(60, rng, false)
+	start := m.Cost()
+	stats := Run(m, Config{Effort: 1, Span: 60, Cells: 60, Nets: 59}, rng)
+	if m.Cost() > 0.5*start {
+		t.Fatalf("batched annealing did not improve: %v -> %v", start, m.Cost())
+	}
+	if got := m.fullCost(); got != m.Cost() {
+		t.Fatalf("maintained cost %v != recomputed %v", m.Cost(), got)
+	}
+	if stats.Batches == 0 || stats.Accepted == 0 || stats.Accepted > stats.Moves ||
+		stats.Requeued > stats.Moves {
+		t.Fatalf("inconsistent run statistics: %+v", stats)
+	}
+}
 
 // TestAllConflictBatchProgress is the livelock regression: with an
 // adversarial mover whose every proposal claims the same footprint key,

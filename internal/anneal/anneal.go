@@ -5,24 +5,26 @@
 // used to duplicate — initial-temperature estimation from probed move
 // deltas, the VPR-style adaptive schedule, the move/accept loop and the
 // range-limit adaptation — and is parameterised over a Mover interface
-// supplying the problem-specific parts: proposing a move, evaluating its
-// cost delta incrementally, applying and undoing it.
+// supplying the problem-specific parts: proposing a move, applying it
+// with an incremental cost delta, and undoing it.
 //
 // Moves run under the batch protocol (see batch.go): fixed-size proposal
-// batches are drawn serially, evaluated against state frozen for the
-// whole batch, and committed in canonical slot order with footprint-based
-// conflict detection. The protocol, not the evaluation order, defines the
-// trajectory, so every golden result in the repo is a function of the
-// seed alone.
+// batches are drawn serially, each proposal's delta is taken against the
+// batch-start state (apply, then undo), and the batch is committed in
+// canonical slot order with footprint-based conflict detection. The
+// protocol defines the trajectory, so every golden result in the repo is
+// a function of the seed alone.
 //
 // Hot-path contract for Mover implementations:
 //
-//   - TryMove and ApplySlot must evaluate the delta *incrementally*
-//     (touch only the nets/positions the move affects) and leave the move
-//     applied; the kernel calls Undo to reject. After any
+//   - ApplySlot must evaluate the delta *incrementally* (touch only the
+//     nets/positions the move affects) and leave the move applied; Undo
+//     must restore every piece of mutable state BIT-exactly, because the
+//     kernel measures each batch proposal by applying and undoing it and
+//     the next proposal must see the batch-start state. After any
 //     accepted/rejected sequence the maintained total must equal a
 //     from-scratch recompute exactly (both users have property tests
-//     asserting this).
+//     asserting this and the apply/undo round trip).
 //   - No per-move allocation: affected-set deduplication and undo
 //     snapshots live in scratch buffers owned by the Mover.
 //   - Cost deltas must be accumulated over a deterministically ordered
@@ -31,7 +33,7 @@
 //     irreproducible.
 //
 // The kernel itself draws from the caller's rng in a fixed order (one
-// TryMove per probe, then per batch one Propose and one Float64 per
+// Propose per probe, then per batch one Propose and one Float64 per
 // slot), so a seeded run is reproducible by construction.
 package anneal
 
@@ -47,41 +49,33 @@ import (
 // must guarantee:
 //
 //   - Propose records a proposal without touching state;
-//   - EvalSlot is read-only against the current state;
-//   - EvalSlot returns exactly the delta ApplySlot would return on an
-//     unchanged state (same affected-set order, same float operations) —
-//     property-tested by both movers;
+//   - ApplySlot followed by Undo leaves every piece of mutable state
+//     bit-identical to before — property-tested by both movers;
 //   - Claims returns the move's full mutation footprint: two proposals
 //     whose claims are disjoint must commute.
 type Mover interface {
-	// TryMove proposes a random move within the range limit rlim,
-	// applies it, and returns its cost delta — the initial-temperature
-	// probe. ok is false when the proposal was degenerate (no-op target,
-	// class mismatch); such an attempt must leave the state untouched.
-	TryMove(rng *rand.Rand, rlim float64) (delta float64, ok bool)
-	// Undo reverts the last applied TryMove or ApplySlot.
+	// Undo reverts the last ApplySlot.
 	Undo()
 	// Cost returns the current total cost from the Mover's incremental
 	// bookkeeping (called once per temperature round, not per move).
 	Cost() float64
-	// SetupBatch sizes the mover's proposal slots and its frozen-
-	// evaluation scratch. Called once per Run, before the first batch.
+	// SetupBatch sizes the mover's proposal slots. Called once per Run,
+	// before the first proposal.
 	SetupBatch(slots int)
 	// Propose draws a move for the given slot within the range limit,
 	// recording it in the slot without mutating state; ok is false when
-	// the proposal is degenerate. It draws from rng exactly as TryMove
-	// does.
+	// the proposal is degenerate (no-op target, class mismatch).
 	Propose(rng *rand.Rand, rlim float64, slot int) bool
 	// Claims appends the slot's footprint keys to buf and returns it.
 	Claims(slot int, buf []int64) []int64
-	// EvalSlot returns the slot's cost delta, evaluated read-only
-	// against the current (frozen) state.
-	EvalSlot(slot int) float64
-	// ApplySlot applies the slot's proposal to live state — exactly like
-	// TryMove, returning the incremental delta and leaving the move
-	// applied for Undo to revert.
+	// ApplySlot applies the slot's proposal to live state, returning the
+	// incremental delta and leaving the move applied for Undo to revert.
 	ApplySlot(slot int) float64
 }
+
+// QuenchTempFraction scales the probed starting temperature of a
+// WarmStart run: the warm-start quench temperature.
+const QuenchTempFraction = 0.02
 
 // Config sizes the schedule for one annealing run.
 type Config struct {
@@ -106,14 +100,11 @@ type Config struct {
 	RefineTempFraction float64
 	// WarmStart quenches an already-good seed (an ECO placement
 	// transfer): the starting temperature is scaled by
-	// WarmStartTempFraction and the range limit opens at an eighth of
-	// the span — colder and tighter than Refine, so the baseline is
-	// perturbed only where the edit demands it. When both Refine and
-	// WarmStart are set, WarmStart wins.
+	// QuenchTempFraction and the range limit opens at an eighth of the
+	// span — colder and tighter than Refine, so the baseline is perturbed
+	// only where the edit demands it. When both Refine and WarmStart are
+	// set, WarmStart wins.
 	WarmStart bool
-	// WarmStartTempFraction scales the probed starting temperature when
-	// WarmStart is set (default 0.02).
-	WarmStartTempFraction float64
 	// AfterBatch, when non-nil, is called after each batch's commit phase
 	// (test hook: the incremental-vs-recompute property tests audit the
 	// mover's books after every commit/requeue cycle).
@@ -161,26 +152,22 @@ func Run(mv Mover, cfg Config, rng *rand.Rand) RunStats {
 		return RunStats{}
 	}
 	span := cfg.Span
+	mv.SetupBatch(batchMoves)
 
 	// Estimate the initial temperature from probed (and undone) move
 	// deltas: T0 = 20 σ (VPR).
 	var deltas []float64
 	for i := 0; i < cfg.Cells; i++ {
-		d, ok := mv.TryMove(rng, float64(span))
-		if !ok {
+		if !mv.Propose(rng, float64(span), 0) {
 			continue
 		}
-		deltas = append(deltas, d)
+		deltas = append(deltas, mv.ApplySlot(0))
 		mv.Undo()
 	}
 	sch := NewSchedule(Stddev(deltas), span, cfg.Cells, cfg.Effort)
 	switch {
 	case cfg.WarmStart:
-		frac := cfg.WarmStartTempFraction
-		if frac <= 0 {
-			frac = 0.02
-		}
-		sch.T *= frac
+		sch.T *= QuenchTempFraction
 		sch.RLim = float64(span) / 8
 		if sch.RLim < 1 {
 			sch.RLim = 1

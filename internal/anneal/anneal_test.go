@@ -119,14 +119,6 @@ func (m *lineMover) pick(rng *rand.Rand, rlim float64) (posA, posB int, ok bool)
 	return posA, posB, posA != posB
 }
 
-func (m *lineMover) TryMove(rng *rand.Rand, rlim float64) (float64, bool) {
-	posA, posB, ok := m.pick(rng, rlim)
-	if !ok {
-		return 0, false
-	}
-	return m.apply(posA, posB), true
-}
-
 // apply swaps the occupants of posA and posB, leaving the move for Undo.
 func (m *lineMover) apply(posA, posB int) float64 {
 	m.mvA, m.mvB = posA, posB
@@ -166,27 +158,6 @@ func (m *lineMover) Claims(slot int, buf []int64) []int64 {
 		return append(buf, 0)
 	}
 	return append(buf, int64(m.slotA[slot]), int64(m.slotB[slot]))
-}
-
-// EvalSlot recomputes the chain cost with the slot's swap applied
-// virtually — same loop and float operations as fullCost, so the frozen
-// delta is bit-identical to what ApplySlot returns on unchanged state.
-func (m *lineMover) EvalSlot(slot int) float64 {
-	posA, posB := m.slotA[slot], m.slotB[slot]
-	at := func(i int) float64 {
-		p := m.posOf[i]
-		if p == posA {
-			p = posB
-		} else if p == posB {
-			p = posA
-		}
-		return float64(p)
-	}
-	c := 0.0
-	for i := 0; i+1 < len(m.posOf); i++ {
-		c += math.Abs(at(i) - at(i+1))
-	}
-	return c - m.cost
 }
 
 func (m *lineMover) ApplySlot(slot int) float64 {

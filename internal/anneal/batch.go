@@ -7,9 +7,9 @@ import (
 
 // batchMoves is the number of move proposals per batch. Like the router's
 // connection batches it is a FIXED constant: batch composition decides
-// which proposals see which frozen state, so it fixes the rng draw order,
-// the canonical commit order and every conflict/requeue decision — the
-// whole seeded trajectory. Changing it moves every placement result.
+// which proposals see which batch-start state, so it fixes the rng draw
+// order, the canonical commit order and every conflict/requeue decision —
+// the whole seeded trajectory. Changing it moves every placement result.
 const batchMoves = 64
 
 // StartSeedStride separates the derived seeds of multi-start anneals:
@@ -46,21 +46,20 @@ func BestStart(costs []float64, seeds []int64) int {
 }
 
 // runBatched is the annealing loop over the batch protocol, mirroring the
-// router's commit protocol: per batch, proposals and their acceptance
-// uniforms are drawn in slot order (the rng sequence is fixed up front);
-// every slot is then evaluated against state frozen for the whole phase;
-// commits then apply in slot order. A commit whose claims overlap an
-// earlier accepted commit of the same batch is REQUEUED: it is
-// re-evaluated against live state via ApplySlot and decided with its
-// pre-drawn uniform — in-batch, so a batch where every proposal conflicts
-// still makes progress one commit at a time (no livelock, no starvation). Non-conflicting commits decide on
-// the frozen delta and only then apply, which also keeps the maintained
-// incremental costs exact: every state mutation goes through ApplySlot
-// against live state.
+// router's commit protocol: per batch, each slot in turn draws its
+// proposal and acceptance uniform (so the rng sequence depends on no
+// accept decision) and is measured against the batch-start state —
+// applied for its delta, then undone, which restores that state exactly;
+// commits then apply in slot order. A commit whose claims overlap an earlier accepted commit of
+// the same batch is REQUEUED: it is re-evaluated against live state via
+// ApplySlot and decided with its pre-drawn uniform — in-batch, so a batch
+// where every proposal conflicts still makes progress one commit at a
+// time (no livelock, no starvation). Non-conflicting commits decide on
+// the batch-start delta and only then apply, which also keeps the
+// maintained incremental costs exact: every state mutation goes through
+// ApplySlot against live state.
 func runBatched(mv Mover, cfg Config, sch *Schedule, rng *rand.Rand, span int) RunStats {
 	var stats RunStats
-	mv.SetupBatch(batchMoves)
-
 	var (
 		ok      [batchMoves]bool
 		u       [batchMoves]float64
@@ -82,17 +81,14 @@ func runBatched(mv Mover, cfg Config, sch *Schedule, rng *rand.Rand, span int) R
 
 			// Propose phase: fixed rng order. The acceptance uniform is
 			// drawn per proposal up front so the decision in the commit
-			// phase consumes no rng.
+			// phase consumes no rng; measuring the delta draws none.
+			// Undo restores the batch-start state for the next slot.
 			for s := 0; s < n; s++ {
 				ok[s] = mv.Propose(rng, sch.RLim, s)
 				if ok[s] {
 					u[s] = rng.Float64()
-				}
-			}
-			// Evaluation phase: read-only against the frozen state.
-			for s := 0; s < n; s++ {
-				if ok[s] {
-					delta[s] = mv.EvalSlot(s)
+					delta[s] = mv.ApplySlot(s)
+					mv.Undo()
 				}
 			}
 			// Commit phase: canonical slot order.
@@ -117,7 +113,7 @@ func runBatched(mv Mover, cfg Config, sch *Schedule, rng *rand.Rand, span int) R
 				}
 				if conflict {
 					// Requeue: an earlier commit touched this move's
-					// footprint, so the frozen delta is stale — apply
+					// footprint, so the batch-start delta is stale — apply
 					// against live state for the true delta and decide
 					// with the pre-drawn uniform.
 					stats.Requeued++

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/anneal"
 	"repro/internal/arch"
 	"repro/internal/codec"
 	"repro/internal/lutnet"
@@ -297,7 +298,7 @@ func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge
 	// temperature instead (a caller-set fraction still wins).
 	qcfg := cfg
 	if qcfg.RefineTempFraction == 0 {
-		qcfg.RefineTempFraction = 0.02
+		qcfg.RefineTempFraction = anneal.QuenchTempFraction
 	}
 	res, err := finishDCS(mres, region, qcfg)
 	if err == nil {

@@ -1,8 +1,10 @@
 package merge
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -86,21 +88,38 @@ func TestMergeMultiStartDeterministic(t *testing.T) {
 	}
 }
 
-// TestMergeEvalSlotMatchesApplySlot pins the frozen-evaluation contract
-// down move by move under both objectives: EvalSlot's read-only delta
-// must equal applyMove's live delta bit-identically.
-func TestMergeEvalSlotMatchesApplySlot(t *testing.T) {
+// TestMergeApplyUndoRestoresState pins down the contract the batch
+// protocol rests on, under both objectives: for thousands of proposals
+// on evolving state, ApplySlot followed by Undo must leave cellAt, posOf
+// and posCost bit-identical, and re-applying the move must reproduce its
+// delta exactly.
+func TestMergeApplyUndoRestoresState(t *testing.T) {
 	modes := []*lutnet.Circuit{
 		randomCircuit(t, 50, 30),
 		randomCircuit(t, 51, 30),
 		randomCircuit(t, 52, 30),
 	}
 	a := archFor(modes)
+	type snapshot struct {
+		cellAt, posOf [][]int32
+		posCost       []uint64
+	}
 	for _, obj := range []Objective{WireLength, EdgeMatch} {
 		rng := rand.New(rand.NewSource(14))
 		st, err := newState(modes, a, obj, rng, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		snap := func() snapshot {
+			var s snapshot
+			for m := range st.modes {
+				s.cellAt = append(s.cellAt, slices.Clone(st.cellAt[m]))
+				s.posOf = append(s.posOf, slices.Clone(st.posOf[m]))
+			}
+			for _, c := range st.posCost {
+				s.posCost = append(s.posCost, math.Float64bits(c))
+			}
+			return s
 		}
 		st.SetupBatch(1)
 		for i := 0; i < 3000; i++ {
@@ -108,13 +127,16 @@ func TestMergeEvalSlotMatchesApplySlot(t *testing.T) {
 			if !st.Propose(rng, rlim, 0) {
 				continue
 			}
-			frozen := st.EvalSlot(0)
-			live := st.ApplySlot(0)
-			if frozen != live {
-				t.Fatalf("%v step %d: frozen delta %v != live delta %v", obj, i, frozen, live)
+			before := snap()
+			d := st.ApplySlot(0)
+			st.Undo()
+			if after := snap(); !reflect.DeepEqual(before, after) {
+				t.Fatalf("%v step %d: ApplySlot+Undo did not restore the state", obj, i)
 			}
 			if rng.Intn(2) == 0 {
-				st.Undo()
+				if again := st.ApplySlot(0); math.Float64bits(again) != math.Float64bits(d) {
+					t.Fatalf("%v step %d: re-applied delta %v != measured delta %v", obj, i, again, d)
+				}
 			}
 		}
 	}

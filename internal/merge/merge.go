@@ -66,9 +66,6 @@ type Options struct {
 	// WarmStart quenches Init at the anneal kernel's warm-start
 	// temperature instead of the refinement temperature.
 	WarmStart bool
-	// WarmStartTempFraction scales the starting temperature when
-	// WarmStart is set (default 0.02).
-	WarmStartTempFraction float64
 	// Obs forwards to anneal.Config.Obs: per-run move/accept counts land
 	// as mm_anneal_* metrics. Wall-clock-only, never in artifact keys.
 	Obs *obs.Registry
@@ -207,13 +204,11 @@ type state struct {
 	affSeen []bool
 	affBuf  []int32
 	oldCost []float64
-	// Pending move for anneal.Mover (set by TryMove, used by Undo).
+	// Pending move for anneal.Mover (set by applyMove, used by Undo).
 	mvMode   int
 	mvA, mvB int32
-	// Batch-protocol state (batch.go): recorded proposals and the
-	// frozen-evaluation scratch.
-	slots   []mergeSlot
-	scratch mergeScratch
+	// Recorded batch proposals (batch.go).
+	slots []mergeSlot
 }
 
 // newState builds the combined-placement state with a random legal
@@ -402,8 +397,7 @@ func (st *state) affected(m int, c int32, add func(int32)) {
 }
 
 // pickMove selects a mode, one of its cells and a range-limited same-class
-// target position — the shared proposal logic of TryMove and Propose
-// (identical rng draw sequence on either path).
+// target position — the proposal logic behind Propose.
 func (st *state) pickMove(rng *rand.Rand, rlim float64) (m int, posA, posB int32, ok bool) {
 	m = rng.Intn(len(st.modes))
 	mi := st.modes[m]
@@ -428,17 +422,6 @@ func (st *state) pickMove(rng *rand.Rand, rlim float64) (m int, posA, posB int32
 		return 0, 0, 0, false
 	}
 	return m, posA, posB, true
-}
-
-// TryMove implements anneal.Mover: pick a mode and one of its cells, swap
-// it with a range-limited target position, and return the incremental
-// cost delta over the affected positions.
-func (st *state) TryMove(rng *rand.Rand, rlim float64) (float64, bool) {
-	m, posA, posB, ok := st.pickMove(rng, rlim)
-	if !ok {
-		return 0, false
-	}
-	return st.applyMove(m, posA, posB), true
 }
 
 // applyMove swaps the mode-m occupants of posA/posB against live state,
@@ -476,7 +459,7 @@ func (st *state) applyMove(m int, posA, posB int32) float64 {
 	return delta
 }
 
-// Undo implements anneal.Mover: revert the last TryMove's swap and the
+// Undo implements anneal.Mover: revert the last applyMove's swap and the
 // posCost entries of its affected positions.
 func (st *state) Undo() {
 	st.doSwap(st.mvMode, st.mvA, st.mvB)
@@ -534,15 +517,14 @@ func CombinedPlace(name string, modes []*lutnet.Circuit, a arch.Arch, opt Option
 			nNets = 1
 		}
 		anneal.Run(st, anneal.Config{
-			Effort:                opt.Effort,
-			Span:                  a.Width + a.Height,
-			Cells:                 nCells,
-			Nets:                  nNets,
-			Refine:                opt.Init != nil,
-			WarmStart:             opt.Init != nil && opt.WarmStart,
-			WarmStartTempFraction: opt.WarmStartTempFraction,
-			Obs:                   opt.Obs,
-			Ctx:                   opt.Ctx,
+			Effort:    opt.Effort,
+			Span:      a.Width + a.Height,
+			Cells:     nCells,
+			Nets:      nNets,
+			Refine:    opt.Init != nil,
+			WarmStart: opt.Init != nil && opt.WarmStart,
+			Obs:       opt.Obs,
+			Ctx:       opt.Ctx,
 		}, rng)
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			return nil, opt.Ctx.Err()

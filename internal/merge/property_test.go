@@ -38,30 +38,30 @@ func TestMergeIncrementalCostMatchesRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkPosCosts(t, st, -1)
+		st.SetupBatch(1)
 		for i := 0; i < 3000; i++ {
 			rlim := 1 + rng.Float64()*float64(a.Width+a.Height)
-			d, ok := st.TryMove(rng, rlim)
-			if !ok {
+			if !st.Propose(rng, rlim, 0) {
 				continue
 			}
+			st.ApplySlot(0)
 			if rng.Intn(2) == 0 {
 				st.Undo()
 			}
-			_ = d
 			if i%83 == 0 {
 				checkPosCosts(t, st, i)
 			}
 		}
 		checkPosCosts(t, st, 3000)
 
-		// The delta TryMove reports must equal the actual total change,
+		// The delta ApplySlot reports must equal the actual total change,
 		// and Undo must restore the total exactly.
 		for i := 0; i < 300; i++ {
 			before := st.totalCost()
-			d, ok := st.TryMove(rng, 4)
-			if !ok {
+			if !st.Propose(rng, 4, 0) {
 				continue
 			}
+			d := st.ApplySlot(0)
 			after := st.totalCost()
 			if diff := after - before - d; diff > 1e-9 || diff < -1e-9 {
 				t.Fatalf("%v step %d: delta %v but total moved by %v", obj, i, d, after-before)

@@ -190,3 +190,26 @@ func TestBLIFConstantGate(t *testing.T) {
 		t.Fatal("constant-1 gate read as 0")
 	}
 }
+
+// FuzzReadBLIF hardens the BLIF reader, which parses untrusted netlists
+// arriving over the compile service: it must never panic, and every
+// netlist it accepts must write back out as BLIF it accepts again. Its
+// seeds are sampleBLIF and, under testdata/fuzz/FuzzReadBLIF, the other
+// fixtures of the tests above; plain go test replays them. Explore
+// further with go test -run '^$' -fuzz FuzzReadBLIF ./internal/netlist.
+func FuzzReadBLIF(f *testing.F) {
+	f.Add([]byte(sampleBLIF))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := ReadBLIF(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteBLIF(&buf, n); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadBLIF(&buf); err != nil {
+			t.Fatalf("written BLIF does not re-read: %v\n%s", err, buf.Bytes())
+		}
+	})
+}

@@ -1,8 +1,10 @@
 package place
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -104,17 +106,45 @@ func TestPlaceMultiStartDeterministic(t *testing.T) {
 	}
 }
 
-// TestEvalSlotMatchesApplySlot pins the frozen-evaluation contract down
-// move by move: for thousands of proposals on evolving state, EvalSlot's
-// read-only delta must equal ApplySlot's live delta BIT-identically —
-// same box-update decisions, same rescans, same accumulation order.
-func TestEvalSlotMatchesApplySlot(t *testing.T) {
+// TestApplyUndoRestoresState pins down the contract the batch protocol
+// rests on: the kernel measures every proposal by ApplySlot and Undo, so
+// for thousands of proposals on evolving state the round trip must leave
+// every mutable array bit-identical, and re-applying the move must
+// reproduce its delta exactly. A few large nets make the box snapshot
+// and shrink-rescan paths fire alongside the small-net rescans.
+func TestApplyUndoRestoresState(t *testing.T) {
 	a := arch.New(7, 7, 4)
 	p := randomProblem(41, 30, 16, 60)
 	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 4; i++ {
+		cells := rng.Perm(len(p.Cells))[:smallNetPins+2+4*i]
+		p.Nets = append(p.Nets, Net{Cells: cells, Weight: 1 + rng.Float64()})
+	}
 	st, err := newState(p, a.CLBSites(), a.IOSites(), rng, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.nLarge == 0 {
+		t.Fatal("fixture has no large net")
+	}
+	type snapshot struct {
+		cellAt, posOf []int
+		cellX, cellY  []int32
+		netCost       []uint64
+		boxes         []netBox
+	}
+	snap := func() snapshot {
+		s := snapshot{
+			cellAt: slices.Clone(st.cellAt),
+			posOf:  slices.Clone(st.posOf),
+			cellX:  slices.Clone(st.cellX),
+			cellY:  slices.Clone(st.cellY),
+			boxes:  slices.Clone(st.boxes),
+		}
+		for _, c := range st.netCost {
+			s.netCost = append(s.netCost, math.Float64bits(c))
+		}
+		return s
 	}
 	st.SetupBatch(1)
 	for i := 0; i < 4000; i++ {
@@ -122,15 +152,18 @@ func TestEvalSlotMatchesApplySlot(t *testing.T) {
 		if !st.Propose(rng, rlim, 0) {
 			continue
 		}
-		frozen := st.EvalSlot(0)
-		live := st.ApplySlot(0)
-		if frozen != live {
-			t.Fatalf("step %d: frozen delta %v != live delta %v", i, frozen, live)
+		before := snap()
+		d := st.ApplySlot(0)
+		st.Undo()
+		if after := snap(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("step %d: ApplySlot+Undo did not restore the state", i)
 		}
 		// Random walk: keep some moves so later proposals see varied
 		// boxes (growth, interior and shrink-rescan paths all fire).
 		if rng.Intn(2) == 0 {
-			st.Undo()
+			if again := st.ApplySlot(0); math.Float64bits(again) != math.Float64bits(d) {
+				t.Fatalf("step %d: re-applied delta %v != measured delta %v", i, again, d)
+			}
 		}
 	}
 }

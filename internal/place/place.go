@@ -113,9 +113,6 @@ type Options struct {
 	// transfer path, where Init is a baseline placement already near its
 	// optimum and only the edited region should move.
 	WarmStart bool
-	// WarmStartTempFraction scales the starting temperature when
-	// WarmStart is set (default 0.02).
-	WarmStartTempFraction float64
 	// Starts anneals this many independently-seeded runs (Seed,
 	// Seed+StartSeedStride, ...) one after another, and returns the
 	// best by the deterministic (cost, seed) tiebreak. 0 or 1 is a single
@@ -168,16 +165,15 @@ func Place(p *Problem, a arch.Arch, opt Options) (*Placement, error) {
 			return nil, err
 		}
 		anneal.Run(st, anneal.Config{
-			Effort:                opt.Effort,
-			Span:                  a.Width + a.Height,
-			Cells:                 len(p.Cells),
-			Nets:                  len(p.Nets),
-			Refine:                opt.Init != nil,
-			RefineTempFraction:    opt.RefineTempFraction,
-			WarmStart:             opt.Init != nil && opt.WarmStart,
-			WarmStartTempFraction: opt.WarmStartTempFraction,
-			Obs:                   opt.Obs,
-			Ctx:                   opt.Ctx,
+			Effort:             opt.Effort,
+			Span:               a.Width + a.Height,
+			Cells:              len(p.Cells),
+			Nets:               len(p.Nets),
+			Refine:             opt.Init != nil,
+			RefineTempFraction: opt.RefineTempFraction,
+			WarmStart:          opt.Init != nil && opt.WarmStart,
+			Obs:                opt.Obs,
+			Ctx:                opt.Ctx,
 		}, rng)
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			return nil, opt.Ctx.Err()
@@ -236,12 +232,10 @@ type state struct {
 	oldCost   []float64
 	largeBuf  []int
 	oldBox    []netBox
-	// Pending move for anneal.Mover (set by TryMove, used by Undo).
+	// Pending move for anneal.Mover (set by ApplySlot, used by Undo).
 	mvA, mvB int
-	// Batch-protocol state (batch.go): recorded proposals and the
-	// frozen-evaluation scratch.
-	slots   []slotMove
-	scratch evalScratch
+	// Recorded batch proposals (batch.go).
+	slots []slotMove
 }
 
 func newState(p *Problem, clbSites, ioSites []arch.Site, rng *rand.Rand, init []arch.Site) (*state, error) {
@@ -640,17 +634,6 @@ func (st *state) undoSwap(posA, posB int) {
 	for i, ni := range st.largeBuf {
 		st.boxes[ni] = st.oldBox[i]
 	}
-}
-
-// TryMove implements anneal.Mover: propose a range-limited swap and apply
-// it, returning its incremental cost delta.
-func (st *state) TryMove(rng *rand.Rand, rlim float64) (float64, bool) {
-	posA, posB, ok := st.pickMove(rng, rlim)
-	if !ok {
-		return 0, false
-	}
-	st.mvA, st.mvB = posA, posB
-	return st.applySwap(posA, posB), true
 }
 
 // Undo implements anneal.Mover.

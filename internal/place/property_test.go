@@ -73,16 +73,16 @@ func TestIncrementalCostMatchesRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstRecompute(t, st, -1)
+	st.SetupBatch(1)
 	for i := 0; i < 4000; i++ {
 		rlim := 1 + rng.Float64()*float64(a.Width+a.Height)
-		d, ok := st.TryMove(rng, rlim)
-		if !ok {
+		if !st.Propose(rng, rlim, 0) {
 			continue
 		}
+		st.ApplySlot(0)
 		if rng.Intn(2) == 0 {
 			st.Undo()
 		}
-		_ = d
 		if i%97 == 0 {
 			checkAgainstRecompute(t, st, i)
 		}
@@ -90,9 +90,9 @@ func TestIncrementalCostMatchesRecompute(t *testing.T) {
 	checkAgainstRecompute(t, st, 4000)
 }
 
-// TestTryMoveDeltaConsistent verifies that the delta returned by TryMove
-// equals the actual change of the from-scratch total, and that Undo
-// restores it exactly.
+// TestTryMoveDeltaConsistent verifies that the delta ApplySlot returns
+// for a proposed move equals the actual change of the from-scratch
+// total, and that Undo restores it exactly.
 func TestTryMoveDeltaConsistent(t *testing.T) {
 	a := arch.New(6, 6, 4)
 	p := randomProblem(7, 20, 12, 40)
@@ -101,12 +101,13 @@ func TestTryMoveDeltaConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.SetupBatch(1)
 	for i := 0; i < 500; i++ {
 		before := st.totalCost()
-		d, ok := st.TryMove(rng, 5)
-		if !ok {
+		if !st.Propose(rng, 5, 0) {
 			continue
 		}
+		d := st.ApplySlot(0)
 		after := st.totalCost()
 		if diff := after - before - d; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("step %d: delta %v but total moved by %v", i, d, after-before)

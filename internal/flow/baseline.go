@@ -208,7 +208,8 @@ func DecodeBaseline(data []byte) (*Baseline, error) {
 		b.Modes = append(b.Modes, bm)
 	}
 	for obj := range b.Merges {
-		for i, n := 0, r.Len(4); i < n; i++ {
+		// A mode's site vector can be empty: one byte, its length.
+		for i, n := 0, r.Len(1); i < n; i++ {
 			b.Merges[obj].ModeSites = append(b.Merges[obj].ModeSites, decodeSites(r))
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/lutnet"
 	"repro/internal/merge"
@@ -38,6 +39,10 @@ type Comparison struct {
 // budget, the next one starts alongside it on a core no other compile in
 // the process is using, the lowest success is kept and the rest are
 // cancelled; the result is byte-identical to trying them one by one.
+// Attempts of one seed differ only in channel width, which no placement
+// reads, so the ladder places once per seed: the first attempt to need a
+// combined placement and its TPlace refinement computes them, and every
+// other attempt of that seed reuses them.
 //
 // With Config.Baseline set, the compile first attempts the delta path
 // (see delta.go): reuse the baseline's region, transfer its placements
@@ -105,24 +110,7 @@ func runComparisonCold(name string, modes []*lutnet.Circuit, cfg Config) (*Compa
 		ctx = context.Background()
 	}
 	traces := make([]*obs.Trace, ladderAttempts)
-	// An attempt is in doubt once one of its routes has spent half its
-	// iteration budget and is still stalled in full rip-ups. Every failed
-	// attempt gets there; a winning one rarely does. Starting the next
-	// attempt from that point hides half the time a failure takes, while
-	// wasting little work when the attempt succeeds after all.
-	cmp, outcomes, err := ladder(ctx, ladderAttempts, &cores, func(ctx context.Context, k int, doubt func()) (*Comparison, error) {
-		acfg, w := attemptCfg(cfg, region.Arch.W, k)
-		acfg.Ctx = ctx
-		half := acfg.RouteOpts.MaxIters / 2
-		acfg.RouteOpts.OnStall = func(iter int) {
-			if iter >= half {
-				doubt()
-			}
-		}
-		acfg.Trace = cfg.Trace.Fork()
-		traces[k] = acfg.Trace
-		return runAttempt(name, modes, region, acfg, w)
-	})
+	cmp, outcomes, err := ladder(ctx, ladderAttempts, &cores, coldRung(name, modes, region, cfg, traces))
 	var attempts *obs.CounterVec
 	if cfg.Obs != nil {
 		attempts = cfg.Obs.CounterVec("mm_flow_attempts_total",
@@ -147,10 +135,37 @@ func runComparisonCold(name string, modes []*lutnet.Circuit, cfg Config) (*Compa
 	return cmp, nil
 }
 
+// coldRung returns the attempt function of one cold ladder over the sized
+// region: attempt k runs on attemptCfg(k), records into traces[k], and
+// shares the ladder's DCS placements with the other attempts.
+func coldRung(name string, modes []*lutnet.Circuit, region *Region, cfg Config, traces []*obs.Trace) func(ctx context.Context, k int, doubt func()) (*Comparison, error) {
+	memo := &placeMemo{entries: map[dcsKey]*dcsEntry{}}
+	return func(ctx context.Context, k int, doubt func()) (*Comparison, error) {
+		acfg, w := attemptCfg(cfg, region.Arch.W, k)
+		acfg.Ctx, acfg.RouteOpts.Ctx = ctx, ctx
+		// An attempt is in doubt once one of its routes has spent half its
+		// iteration budget and is still stalled in full rip-ups. Every
+		// failed attempt gets there; a winning one rarely does. Starting the
+		// next attempt from that point hides half the time a failure takes,
+		// while wasting little work when the attempt succeeds after all.
+		half := acfg.RouteOpts.MaxIters / 2
+		acfg.RouteOpts.OnStall = func(iter int) {
+			if iter >= half {
+				doubt()
+			}
+		}
+		acfg.Trace = cfg.Trace.Fork()
+		traces[k] = acfg.Trace
+		return runAttempt(name, modes, region, acfg, w, memo)
+	}
+}
+
 // runAttempt is one attempt of the cold ladder: MDR and both DCS flows on
-// the sized region widened to channel width w. The context is checked
-// between the flows, so a cancelled attempt does not start the next one.
-func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config, w int) (*Comparison, error) {
+// the sized region widened to channel width w. The DCS placements come
+// from memo, so only the first attempt of a seed merges and runs TPlace;
+// every attempt routes. The context is checked between the flows, so a
+// cancelled attempt does not start the next one.
+func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config, w int, memo *placeMemo) (*Comparison, error) {
 	region := sized
 	if w != sized.Arch.W {
 		region = cfg.NewRegion(sized.Arch.Width, w)
@@ -160,17 +175,88 @@ func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config,
 	if cmp.MDR, err = RunMDR(modes, region, cfg); err != nil {
 		return nil, err
 	}
-	if err := cfg.ctxErr(); err != nil {
-		return nil, err
-	}
-	if cmp.EdgeMatch, err = RunDCS(name, modes, region, merge.EdgeMatch, cfg); err != nil {
-		return nil, err
-	}
-	if err := cfg.ctxErr(); err != nil {
-		return nil, err
-	}
-	if cmp.WireLen, err = RunDCS(name, modes, region, merge.WireLength, cfg); err != nil {
-		return nil, err
+	for _, obj := range []merge.Objective{merge.EdgeMatch, merge.WireLength} {
+		if err := cfg.ctxErr(); err != nil {
+			return nil, err
+		}
+		p, err := memo.get(cfg.Ctx, dcsKey{cfg.Seed, obj}, func() (*dcsPlacement, error) {
+			mres, err := placeDCS(name, modes, region.Arch, obj, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return tplaceDCS(mres, region.Arch, cfg)
+		})
+		if err != nil {
+			return nil, err
+		}
+		dcs, err := routeDCS(p, region, obj, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if obj == merge.EdgeMatch {
+			cmp.EdgeMatch = dcs
+		} else {
+			cmp.WireLen = dcs
+		}
 	}
 	return cmp, nil
+}
+
+// placeMemo is the place phase of one cold ladder, shared by its
+// attempts. The attempts of a seed differ only in channel width, which
+// neither the combined placement nor TPlace reads, so a DCS placement is
+// a function of (seed, objective) alone: the first attempt to need one
+// computes it, and any attempt needing it meanwhile waits for that one.
+// The memo lives for one runComparisonCold call.
+type placeMemo struct {
+	mu      sync.Mutex
+	entries map[dcsKey]*dcsEntry
+}
+
+type dcsKey struct {
+	seed int64
+	obj  merge.Objective
+}
+
+type dcsEntry struct {
+	done    chan struct{} // closed once the fields below are final
+	p       *dcsPlacement
+	err     error
+	dropped bool // computation cut short by its attempt's cancellation
+}
+
+// get returns the placement of key, computing it with compute — which
+// must run under ctx — when no attempt has. A computation cut short by
+// the cancellation of its own attempt is not kept: its entry is dropped
+// before its waiters wake, and a waiter whose own context is live
+// computes the placement afresh. A waiter whose context is cancelled
+// returns its own ctx.Err().
+func (m *placeMemo) get(ctx context.Context, key dcsKey, compute func() (*dcsPlacement, error)) (*dcsPlacement, error) {
+	for {
+		m.mu.Lock()
+		e, ok := m.entries[key]
+		if !ok {
+			e = &dcsEntry{done: make(chan struct{})}
+			m.entries[key] = e
+			m.mu.Unlock()
+			e.p, e.err = compute()
+			if e.err != nil && ctx.Err() != nil {
+				e.dropped = true
+				m.mu.Lock()
+				delete(m.entries, key)
+				m.mu.Unlock()
+			}
+			close(e.done)
+			return e.p, e.err
+		}
+		m.mu.Unlock()
+		select {
+		case <-e.done:
+			if !e.dropped {
+				return e.p, e.err
+			}
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 }

@@ -300,9 +300,10 @@ func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge
 	if qcfg.RefineTempFraction == 0 {
 		qcfg.RefineTempFraction = anneal.QuenchTempFraction
 	}
-	res, err := finishDCS(mres, region, qcfg)
-	if err == nil {
-		return res, nil
+	if p, err := tplaceDCS(mres, region.Arch, qcfg); err == nil {
+		if res, err := routeDCS(p, region, obj, qcfg); err == nil {
+			return res, nil
+		}
 	}
 	// The quench can leave the tunable circuit unroutable on congested
 	// instances: the combined annealer is blind to pin congestion, and a

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -81,6 +82,40 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if _, err := DecodeBaseline([]byte("garbage")); err == nil {
 		t.Fatal("garbage decoded as a baseline")
 	}
+}
+
+// FuzzDecodeBaseline hardens the eco-baseline decoder, which reads bytes
+// from the artifact store and the remote tier: it must never panic, and
+// every baseline it accepts must encode to bytes that decode back to the
+// same baseline, cost bits included. Its seeds, under
+// testdata/fuzz/FuzzDecodeBaseline, are the encodings of the delta
+// fixture's baseline and of a one-mode baseline small enough to mutate
+// well, plus TestBaselineRoundTrip's garbage; plain go test replays
+// them. Explore further with
+// go test -run '^$' -fuzz FuzzDecodeBaseline ./internal/flow.
+func FuzzDecodeBaseline(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeBaseline(data)
+		if err != nil {
+			return
+		}
+		got, err := DecodeBaseline(EncodeBaseline(b))
+		if err != nil {
+			t.Fatalf("re-encoded baseline does not decode: %v", err)
+		}
+		if len(got.Modes) != len(b.Modes) {
+			t.Fatalf("%d modes decoded as %d", len(b.Modes), len(got.Modes))
+		}
+		for m := range b.Modes {
+			if math.Float64bits(got.Modes[m].Cost) != math.Float64bits(b.Modes[m].Cost) {
+				t.Fatalf("mode %d cost %v decoded as %v", m, b.Modes[m].Cost, got.Modes[m].Cost)
+			}
+			got.Modes[m].Cost, b.Modes[m].Cost = 0, 0 // NaN is unequal to itself
+		}
+		if !reflect.DeepEqual(got, b) {
+			t.Fatalf("baseline did not round-trip:\n%+v\n%+v", b, got)
+		}
+	})
 }
 
 // TestDeltaEquivalence is the delta-vs-cold equivalence suite: over 20

@@ -380,42 +380,64 @@ type DCSResult struct {
 // TRoute.
 func RunDCS(name string, modes []*lutnet.Circuit, region *Region, obj merge.Objective, cfg Config) (*DCSResult, error) {
 	cfg = cfg.filled()
-	sp := cfg.Trace.Start("merge", "objective", obj.String())
-	mres, err := merge.CombinedPlace(name, modes, region.Arch, merge.Options{
+	mres, err := placeDCS(name, modes, region.Arch, obj, cfg)
+	if err != nil {
+		return nil, err
+	}
+	p, err := tplaceDCS(mres, region.Arch, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return routeDCS(p, region, obj, cfg)
+}
+
+// dcsPlacement is the place phase of the DCS flow: a combined placement
+// and its TPlace refinement. Neither reads the channel width, so one
+// placement serves every width of the same logic array (see
+// TestCombinedPlaceIgnoresChannelWidth and
+// TestPlacementIgnoresChannelWidth).
+type dcsPlacement struct {
+	merge              *merge.Result
+	lutSites, padSites []arch.Site
+	cost               float64
+}
+
+// placeDCS is the cold combined placement of the modes under obj.
+func placeDCS(name string, modes []*lutnet.Circuit, a arch.Arch, obj merge.Objective, cfg Config) (*merge.Result, error) {
+	defer cfg.Trace.Start("merge", "objective", obj.String()).End()
+	return merge.CombinedPlace(name, modes, a, merge.Options{
 		Seed: cfg.Seed, Effort: cfg.PlaceEffort, Objective: obj,
 		Starts: cfg.PlaceStarts, Obs: cfg.Obs, Ctx: cfg.Ctx,
 	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return finishDCS(mres, region, cfg)
 }
 
-// finishDCS takes a combined placement through TPlace and TRoute and
-// assembles the DCS metrics — shared by the cold path and the delta path
-// (which differ only in how the combined placement was seeded).
-func finishDCS(mres *merge.Result, region *Region, cfg Config) (*DCSResult, error) {
-	// TPlace: refine the combined placement of the Tunable circuit (the
-	// topology is fixed now), then route.
-	sp := cfg.Trace.Start("tplace")
-	lutSites, padSites, tpCost, err := TPlace(mres.Tunable, region.Arch, cfg, mres.LUTSite, mres.PadSite)
-	sp.End()
+// tplaceDCS refines a combined placement of the Tunable circuit with
+// TPlace (the topology is fixed now) — shared by the cold path and the
+// delta path, which differ only in how the combined placement was seeded.
+func tplaceDCS(mres *merge.Result, a arch.Arch, cfg Config) (*dcsPlacement, error) {
+	defer cfg.Trace.Start("tplace").End()
+	lutSites, padSites, cost, err := TPlace(mres.Tunable, a, cfg, mres.LUTSite, mres.PadSite)
 	if err != nil {
 		return nil, err
 	}
-	ro := cfg.RouteOpts
-	sp = cfg.Trace.Start("troute")
-	tr, err := troute.RouteTunable(region.Graph, mres.Tunable, lutSites, padSites, ro)
+	return &dcsPlacement{merge: mres, lutSites: lutSites, padSites: padSites, cost: cost}, nil
+}
+
+// routeDCS routes a placed Tunable circuit with TRoute on region and
+// assembles the DCS metrics. cfg must be filled: its RouteOpts are used
+// as they are.
+func routeDCS(p *dcsPlacement, region *Region, obj merge.Objective, cfg Config) (*DCSResult, error) {
+	sp := cfg.Trace.Start("troute", "objective", obj.String(), "w", strconv.Itoa(region.Arch.W))
+	tr, err := troute.RouteTunable(region.Graph, p.merge.Tunable, p.lutSites, p.padSites, cfg.RouteOpts)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	res := &DCSResult{
-		Merge:        mres,
+		Merge:        p.merge,
 		TRoute:       tr,
 		ReconfigBits: tr.ReconfigBits(region.Arch),
-		TPlaceCost:   tpCost,
+		TPlaceCost:   p.cost,
 	}
 	for _, w := range tr.PerModeWire {
 		res.AvgWire += float64(w)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/gen/mcncgen"
 	"repro/internal/lutnet"
+	"repro/internal/merge"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 )
@@ -456,7 +457,9 @@ func TestLadderWidthByteIdentical(t *testing.T) {
 // TestRunComparisonCancelled: a compile whose context is already
 // cancelled returns the context's error — not an unroutable region from
 // probes that stopped early — and a cancelled delta compile is not
-// counted as a baseline miss.
+// counted as a baseline miss. A ladder attempt cancelled during its
+// TRoute stops at the router's next iteration instead of negotiating to
+// the end of its budget.
 func TestRunComparisonCancelled(t *testing.T) {
 	circuits := mcncPair(t, 5, 6, 80)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -470,5 +473,155 @@ func TestRunComparisonCancelled(t *testing.T) {
 		if misses := cfg.Cache.Stats().BaselineMisses; misses != 0 {
 			t.Fatalf("baseline %q: cancelled compile counted %d baseline misses", baseline, misses)
 		}
+	}
+
+	// Attempt 0 of this group fails in TRoute, and its doubt hook fires
+	// from the stalled route's iterations: cancel the attempt there.
+	cfg := testConfig().filled()
+	cfg.Trace = obs.NewTrace()
+	region, err := SizeRegion(circuits, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := make([]*obs.Trace, ladderAttempts)
+	rung := coldRung("cancelled", circuits, region, cfg, traces)
+	actx, acancel := context.WithCancel(context.Background())
+	defer acancel()
+	doubts := 0
+	_, err = rung(actx, 0, func() {
+		doubts++
+		acancel()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("attempt cancelled in TRoute: err = %v, want context.Canceled", err)
+	}
+	evs := chromeEvents(t, traces[0])
+	if last := evs[len(evs)-1]; last.Name != "troute" {
+		t.Fatalf("attempt was cancelled in %q, want troute", last.Name)
+	}
+	if doubts != 1 {
+		t.Fatalf("cancelled TRoute ran %d more stalled iterations", doubts-1)
+	}
+}
+
+// TestLadderPlacesOncePerSeed: the ladder's attempts share their DCS
+// placements, so however many attempts route, each seed used is merged
+// and refined by TPlace exactly once per objective — whether the
+// attempts run one or two at a time.
+func TestLadderPlacesOncePerSeed(t *testing.T) {
+	circuits := mcncPair(t, 5, 6, 80)
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		tr := obs.NewTrace()
+		cfg := testConfig()
+		cfg.Trace = tr
+		_, err := RunComparison("ladder", circuits, cfg)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds := map[int64]bool{}
+		spans := map[string]map[int64]int{}
+		for _, ev := range chromeEvents(t, tr) {
+			k, err := strconv.Atoi(ev.Args["attempt"])
+			if err != nil {
+				continue // not inside an attempt
+			}
+			acfg, _ := attemptCfg(cfg.filled(), 0, k)
+			seeds[acfg.Seed] = true
+			if spans[ev.Name] == nil {
+				spans[ev.Name] = map[int64]int{}
+			}
+			spans[ev.Name][acfg.Seed]++
+		}
+		if routes, places := sumCounts(spans["troute"]), sumCounts(spans["merge"]); routes <= places {
+			t.Fatalf("GOMAXPROCS=%d: %d TRoutes on %d placements, want a placement routed twice", procs, routes, places)
+		}
+		for seed := range seeds {
+			for _, stage := range []string{"merge", "tplace"} {
+				if n := spans[stage][seed]; n != 2 {
+					t.Errorf("GOMAXPROCS=%d: seed %d: %d %s spans, want 2", procs, seed, n, stage)
+				}
+			}
+		}
+	}
+}
+
+func sumCounts(m map[int64]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
+// TestLadderPlaceMemoCancelledComputer: an attempt cancelled while it
+// computes a DCS placement leaves nothing behind for the attempts waiting
+// on it. A waiter whose context is live computes the placement afresh and
+// keeps it for later attempts; a waiter whose own context is cancelled
+// returns that context's error. A placement — or an error — computed in
+// full is shared.
+func TestLadderPlaceMemoCancelledComputer(t *testing.T) {
+	memo := &placeMemo{entries: map[dcsKey]*dcsEntry{}}
+	type result struct {
+		p   *dcsPlacement
+		err error
+	}
+	get := func(ctx context.Context, key dcsKey, compute func() (*dcsPlacement, error)) <-chan result {
+		out := make(chan result, 1)
+		go func() {
+			p, err := memo.get(ctx, key, compute)
+			out <- result{p, err}
+		}()
+		return out
+	}
+	unused := func() (*dcsPlacement, error) {
+		t.Error("a waiter recomputed a placement it should not have")
+		return nil, errors.New("unused")
+	}
+
+	lowCtx, cancelLow := context.WithCancel(context.Background())
+	computing := make(chan struct{})
+	key := dcsKey{seed: 1, obj: merge.WireLength}
+	low := get(lowCtx, key, func() (*dcsPlacement, error) {
+		close(computing)
+		<-lowCtx.Done()
+		return nil, lowCtx.Err()
+	})
+	<-computing
+	want := &dcsPlacement{cost: 42}
+	var computes atomic.Int32
+	high := get(context.Background(), key, func() (*dcsPlacement, error) {
+		computes.Add(1)
+		return want, nil
+	})
+	deadCtx, cancelDead := context.WithCancel(context.Background())
+	dead := get(deadCtx, key, unused)
+	// Room for both waiters to block on the entry. A waiter arriving
+	// later gets the same outcome; the pause makes the waiting path the
+	// one exercised.
+	time.Sleep(20 * time.Millisecond)
+	cancelDead()
+	if r := <-dead; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("cancelled waiter: err = %v, want context.Canceled", r.err)
+	}
+	cancelLow()
+	if r := <-low; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("cancelled computer: err = %v, want context.Canceled", r.err)
+	}
+	if r := <-high; r.err != nil || r.p != want || computes.Load() != 1 {
+		t.Fatalf("waiter after a cancelled computer: got (%v, %v) after %d computes, want its own placement", r.p, r.err, computes.Load())
+	}
+	if r := <-get(context.Background(), key, unused); r.err != nil || r.p != want {
+		t.Fatalf("later attempt: got (%v, %v), want the kept placement", r.p, r.err)
+	}
+
+	key = dcsKey{seed: 2, obj: merge.EdgeMatch}
+	failed := errors.New("capacity")
+	if r := <-get(context.Background(), key, func() (*dcsPlacement, error) { return nil, failed }); !errors.Is(r.err, failed) {
+		t.Fatalf("failing computer: err = %v", r.err)
+	}
+	if r := <-get(context.Background(), key, unused); !errors.Is(r.err, failed) {
+		t.Fatalf("later attempt: err = %v, want the shared failure", r.err)
 	}
 }

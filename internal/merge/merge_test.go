@@ -2,7 +2,9 @@ package merge
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -243,5 +245,34 @@ func TestThreeModeCombinedPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 		simEq(t, modes[m], got, 16, int64(m+40))
+	}
+}
+
+// TestCombinedPlaceIgnoresChannelWidth: the combined placement is a pure
+// function of the logic array's dimensions — the routing channel width of
+// the architecture it is handed never influences the result. The cold
+// retry ladder places once per seed and reuses the placement at every
+// width it widens to, which rests on this.
+func TestCombinedPlaceIgnoresChannelWidth(t *testing.T) {
+	for _, modes := range [][]*lutnet.Circuit{
+		similarPair(t),
+		{randomCircuit(t, 30, 25), randomCircuit(t, 31, 25), randomCircuit(t, 32, 25)},
+	} {
+		a0 := archFor(modes)
+		for _, obj := range []Objective{WireLength, EdgeMatch} {
+			var want *Result
+			for _, w := range []int{4, a0.W, a0.W + 12} {
+				a := arch.New(a0.Width, a0.Height, w)
+				res, err := CombinedPlace("mm", modes, a, Options{Seed: 3, Effort: 0.2, Objective: obj})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = res
+				} else if !reflect.DeepEqual(res, want) || math.Float64bits(res.Cost) != math.Float64bits(want.Cost) {
+					t.Fatalf("%d modes, %v: combined placement at channel width %d differs from width 4", len(modes), obj, w)
+				}
+			}
+		}
 	}
 }

@@ -41,7 +41,6 @@ func main() {
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers for the group sweep")
 	starts := flag.Int("starts", 1, "independently seeded anneals per placement, best kept (changes results)")
 	groups := flag.Int("groups", 4, "multi-mode groups per suite (paper: 10)")
-	flag.IntVar(groups, "pairs", 4, "deprecated alias for -groups")
 	effort := flag.Float64("effort", 0.4, "annealing effort")
 	seed := flag.Int64("seed", 1, "random seed")
 	full := flag.Bool("full", false, "paper-scale run (all 30 groups, effort 0.5)")
@@ -72,7 +71,7 @@ func main() {
 		sc.PlaceStarts = *starts
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "groups", "pairs":
+			case "groups":
 				sc.GroupsPerSuite = *groups
 			case "effort":
 				sc.Effort = *effort

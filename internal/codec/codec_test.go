@@ -161,6 +161,52 @@ func FuzzDecodePlacement(f *testing.F) {
 	})
 }
 
+// FuzzDecodeNetlist hardens the netlist decoder: it must never panic,
+// and every netlist it accepts must encode to bytes that decode and
+// re-encode to the same bytes. Its seeds, under
+// testdata/fuzz/FuzzDecodeNetlist, are the encodings of a small netlist
+// from testNetlist, of an empty netlist and of a future-version header;
+// plain go test replays them. Explore further with
+// go test -run '^$' -fuzz FuzzDecodeNetlist ./internal/codec.
+func FuzzDecodeNetlist(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := DecodeNetlist(data)
+		if err != nil {
+			return
+		}
+		enc := EncodeNetlist(n)
+		got, err := DecodeNetlist(enc)
+		if err != nil {
+			t.Fatalf("re-encoded netlist does not decode: %v", err)
+		}
+		if again := EncodeNetlist(got); !bytes.Equal(again, enc) {
+			t.Fatalf("netlist did not round-trip: %x, then %x", enc, again)
+		}
+	})
+}
+
+// FuzzDecodeCircuit is FuzzDecodeNetlist for the mapped-circuit decoder.
+// Its seeds, under testdata/fuzz/FuzzDecodeCircuit, are the encodings of
+// a small circuit from testCircuit, of an empty circuit and of a
+// future-version header. Explore further with
+// go test -run '^$' -fuzz FuzzDecodeCircuit ./internal/codec.
+func FuzzDecodeCircuit(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeCircuit(data)
+		if err != nil {
+			return
+		}
+		enc := EncodeCircuit(c)
+		got, err := DecodeCircuit(enc)
+		if err != nil {
+			t.Fatalf("re-encoded circuit does not decode: %v", err)
+		}
+		if again := EncodeCircuit(got); !bytes.Equal(again, enc) {
+			t.Fatalf("circuit did not round-trip: %x, then %x", enc, again)
+		}
+	})
+}
+
 // TestDecodeRejectsCorruption: truncations and bit flips anywhere in an
 // encoding must produce an error, never a silently wrong value or a
 // panic. (Checksums catch storage corruption before decoding; this guards

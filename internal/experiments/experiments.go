@@ -458,12 +458,6 @@ func RunGroup(suite *Suite, group []int, sc Scale) (*GroupResult, error) {
 	return res, nil
 }
 
-// RunSuite evaluates every selected group of a suite, serially (one
-// worker). It is the single-suite form of Runner.Run.
-func RunSuite(s *Suite, sc Scale, progress func(string)) ([]*GroupResult, error) {
-	return (&Runner{Workers: 1, Progress: progress}).Run([]*Suite{s}, sc)
-}
-
 // Dist is a min/avg/max summary.
 type Dist struct {
 	Min, Avg, Max float64

@@ -80,24 +80,15 @@ func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestRunSuiteMatchesRunner checks the compatibility wrapper: RunSuite must
-// behave exactly like a one-worker Runner over a single suite, including
-// progress callbacks in enumeration order.
-func TestRunSuiteMatchesRunner(t *testing.T) {
+// TestRunAllProgressOrder: with one worker, RunAll reports progress once
+// per group, in enumeration order.
+func TestRunAllProgressOrder(t *testing.T) {
 	sc := Scale{Effort: 0.1, Seed: 1}
 	suites := tinySuites(t, sc)
 
 	var msgs []string
-	got, err := RunSuite(suites[0], sc, func(m string) { msgs = append(msgs, m) })
-	if err != nil {
+	if _, err := RunAll(suites[:1], sc, 1, func(m string) { msgs = append(msgs, m) }); err != nil {
 		t.Fatal(err)
-	}
-	want, err := (&Runner{Workers: 1}).Run(suites[:1], sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("RunSuite results differ from Runner results")
 	}
 	wantMsgs := []string{"RegExp group (0,1)", "RegExp group (0,2)"}
 	if !reflect.DeepEqual(msgs, wantMsgs) {

@@ -15,7 +15,7 @@ import (
 // mode's circuit (to diff the edited version against), its placement and
 // its routing trees, plus the per-mode combined-placement sites of both
 // DCS objectives. It is written next to every persistent compile result
-// (see service.CompileNetlists) under a key derived from the request
+// (see service.CompileNetlistsEnv) under a key derived from the request
 // identity, so "recompile this edit against yesterday's run" is one key
 // away.
 const (

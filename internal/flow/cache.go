@@ -1,7 +1,8 @@
 package flow
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -109,36 +110,45 @@ func NewCacheWithStore(st *store.Store) *Cache {
 func (c *Cache) Store() *store.Store { return c.store }
 
 // Stats is a snapshot of cache traffic, reported by mmbench and asserted
-// by the warm-path tests (a warm sweep must show zero PlaceAnneals).
+// by the warm-path tests (a warm sweep must show zero PlaceAnneals). It
+// is the one definition of the cache's counters: each field's tags name
+// its /metrics family (see obs.RegisterSnapshot), and String renders the
+// same fields.
 type Stats struct {
 	// GraphBuilds counts routing-resource graphs built; GraphHits counts
 	// requests served by an already-built graph.
-	GraphBuilds, GraphHits uint64
+	GraphBuilds uint64 `metric:"mm_cache_graph_builds_total" help:"Routing-resource graphs built."`
+	GraphHits   uint64 `metric:"mm_cache_graph_hits_total" help:"Graph requests served from memory."`
 	// GraphStoreHits counts graph keys for which the artifact store
 	// returned an entry; GraphLoads counts entries that decoded, validated
 	// and were used in place of a build. A warm process shows GraphBuilds
 	// == 0 with every graph served as a load.
-	GraphLoads, GraphStoreHits uint64
+	GraphLoads     uint64 `metric:"mm_cache_graph_loads_total" help:"Graphs decoded from the artifact store."`
+	GraphStoreHits uint64 `metric:"mm_cache_graph_store_hits_total" help:"Graph keys found in the artifact store."`
 	// PlaceAnneals counts actual place.Place executions — the annealing
 	// work a warm cache exists to skip. PlaceHits are memory-tier hits,
 	// PlaceStoreHits are placements decoded from the artifact store.
-	PlaceAnneals, PlaceHits, PlaceStoreHits uint64
+	PlaceAnneals   uint64 `metric:"mm_cache_place_anneals_total" help:"Placement anneals executed."`
+	PlaceHits      uint64 `metric:"mm_cache_place_hits_total" help:"Placement requests served from memory."`
+	PlaceStoreHits uint64 `metric:"mm_cache_place_store_hits_total" help:"Placements decoded from the artifact store."`
 	// ArtifactHits / ArtifactMisses count top-level artifact lookups —
 	// whole group results (experiments.RunGroup) and whole compile
-	// results (service.CompileNetlists), the tiers consulted before
+	// results (service.CompileNetlistsEnv), the tiers consulted before
 	// running any flow at all.
-	ArtifactHits, ArtifactMisses uint64
+	ArtifactHits   uint64 `metric:"mm_cache_artifact_hits_total" help:"Top-level artifact store hits."`
+	ArtifactMisses uint64 `metric:"mm_cache_artifact_misses_total" help:"Top-level artifact store misses."`
 	// MemFlushes counts wholesale flushes of the in-memory tier (the
 	// memoryCapEntries bound that keeps a long-running server's
 	// footprint finite).
-	MemFlushes uint64
+	MemFlushes uint64 `metric:"mm_cache_mem_flushes_total" help:"Wholesale flushes of the in-memory memo tier."`
 	// PlaceTransfers counts annealer runs seeded by baseline placement
 	// transfer, and WarmRouteNets nets seeded from baseline routing
 	// trees — the ECO delta path's reuse. BaselineMisses counts delta
 	// compiles that fell back to the cold path because their baseline
 	// was missing, corrupt or no longer fit the edited modes.
-	PlaceTransfers, WarmRouteNets uint64
-	BaselineMisses                uint64
+	PlaceTransfers uint64 `metric:"mm_cache_place_transfers_total" help:"Anneals seeded by ECO baseline placement transfer."`
+	WarmRouteNets  uint64 `metric:"mm_cache_warm_route_nets_total" help:"Nets seeded from ECO baseline routing trees."`
+	BaselineMisses uint64 `metric:"mm_cache_baseline_misses_total" help:"Delta compiles that fell back to cold."`
 	// Store is the persistent tier's own traffic (zero without a store).
 	Store store.Stats
 }
@@ -166,23 +176,17 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// String renders the snapshot as the one-line summary mmbench prints.
+// String renders the snapshot as the one-line summary mmbench and
+// mmserved log: every non-zero field as name=value, named by its
+// /metrics family, in declaration order.
 func (s Stats) String() string {
-	line := fmt.Sprintf("graphs %d built / %d hits / %d store hits / %d loaded; placements %d annealed / %d mem hits / %d store hits; artifacts %d store hits / %d misses",
-		s.GraphBuilds, s.GraphHits, s.GraphStoreHits, s.GraphLoads, s.PlaceAnneals, s.PlaceHits, s.PlaceStoreHits, s.ArtifactHits, s.ArtifactMisses)
-	if s.PlaceTransfers != 0 || s.WarmRouteNets != 0 || s.BaselineMisses != 0 {
-		line += fmt.Sprintf("; delta %d place transfers / %d warm nets / %d baseline misses",
-			s.PlaceTransfers, s.WarmRouteNets, s.BaselineMisses)
+	var parts []string
+	for _, f := range obs.Fields(s) {
+		if f.Value != 0 {
+			parts = append(parts, f.Name+"="+strconv.FormatFloat(f.Value, 'f', -1, 64))
+		}
 	}
-	if s.Store != (store.Stats{}) {
-		line += fmt.Sprintf("; store %d hits / %d misses / %d corrupt, %dB read / %dB written, %d evicted",
-			s.Store.Hits, s.Store.Misses, s.Store.Corrupt, s.Store.BytesRead, s.Store.BytesWritten, s.Store.Evictions)
-	}
-	if st := s.Store; st.RemoteHits != 0 || st.RemoteMisses != 0 || st.RemotePuts != 0 || st.RemoteErrors != 0 {
-		line += fmt.Sprintf("; remote %d hits / %d misses / %d puts / %d errors",
-			st.RemoteHits, st.RemoteMisses, st.RemotePuts, st.RemoteErrors)
-	}
-	return line
+	return strings.Join(parts, " ")
 }
 
 // CircuitHash returns the circuit's content hash, memoized per pointer so

@@ -10,6 +10,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/codec"
 	"repro/internal/lutnet"
+	"repro/internal/obs"
 	"repro/internal/place"
 	"repro/internal/store"
 )
@@ -416,5 +417,49 @@ func TestGraphStoreTier(t *testing.T) {
 	}
 	if s := bogus.Stats(); s.GraphBuilds != 1 || s.GraphStoreHits != 1 || s.GraphLoads != 0 {
 		t.Fatalf("bogus stats %+v, want 1 build / 1 store hit / 0 loads", s)
+	}
+}
+
+// TestStatsFieldsAllTagged: every integer field of Stats, the nested
+// store.Stats included, carries a metric tag with a help text, under a
+// unique name — so a new counter cannot skip /metrics or the log line.
+func TestStatsFieldsAllTagged(t *testing.T) {
+	seen := map[string]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Struct:
+				walk(f.Type, path+f.Name+".")
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+				reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				name := f.Tag.Get("metric")
+				if name == "" || f.Tag.Get("help") == "" {
+					t.Errorf("Stats.%s%s lacks a metric or help tag", path, f.Name)
+				}
+				if seen[name] {
+					t.Errorf("Stats.%s%s reuses metric name %q", path, f.Name, name)
+				}
+				seen[name] = true
+			}
+		}
+	}
+	walk(reflect.TypeOf(Stats{}), "")
+	if n := len(obs.Fields(Stats{})); n != len(seen) {
+		t.Fatalf("obs.Fields found %d fields, the walk %d", n, len(seen))
+	}
+}
+
+// TestStatsString: the log line names every non-zero field by its metric
+// family, in declaration order, and skips the zero ones.
+func TestStatsString(t *testing.T) {
+	s := Stats{PlaceAnneals: 2, MemFlushes: 1, Store: store.Stats{Puts: 7, BytesWritten: 52946}}
+	want := "mm_cache_place_anneals_total=2 mm_cache_mem_flushes_total=1 mm_store_puts_total=7 mm_store_bytes_written_total=52946"
+	if got := s.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	if got := (Stats{}).String(); got != "" {
+		t.Fatalf("zero Stats renders %q, want empty", got)
 	}
 }

@@ -36,17 +36,17 @@ type DeltaStats struct {
 	// UsedBaseline is set when the delta path produced the result;
 	// BaselineMiss when a baseline was requested but the compile fell
 	// back to the cold path.
-	UsedBaseline bool
-	BaselineMiss bool
+	UsedBaseline bool `json:"used_baseline"`
+	BaselineMiss bool `json:"baseline_miss,omitempty"`
 	// ReusedModes counts MDR mode placements inherited verbatim
 	// (hash-identical circuits).
-	ReusedModes int
+	ReusedModes int `json:"reused_modes,omitempty"`
 	// PlaceTransfers counts annealer runs seeded by baseline transfer
 	// (edited MDR modes plus the two combined placements).
-	PlaceTransfers int
+	PlaceTransfers int `json:"place_transfers,omitempty"`
 	// WarmRouteNets counts nets seeded intact from baseline trees across
 	// every route of the compile.
-	WarmRouteNets int
+	WarmRouteNets int `json:"warm_route_nets,omitempty"`
 }
 
 // loadBaseline resolves Config.Baseline to a decoded artifact.

@@ -80,6 +80,9 @@ type Registry struct {
 	mu       sync.Mutex
 	byName   map[string]*family
 	onScrape []func()
+	// scrape serialises WriteText, so the families of one exposition
+	// read the values its own OnScrape hooks refreshed.
+	scrape sync.Mutex
 }
 
 // NewRegistry returns an empty registry.
@@ -89,8 +92,7 @@ func NewRegistry() *Registry {
 
 // OnScrape registers a hook run at the start of every WriteText call —
 // the place to refresh func-backed families from one coherent snapshot
-// (the compile server refreshes all its counters from a single
-// StatsSnapshot there, so /metrics and /stats render the same numbers).
+// (RegisterSnapshot takes its one snapshot per scrape there).
 func (r *Registry) OnScrape(f func()) {
 	if r == nil {
 		return
@@ -342,8 +344,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 }
 
 // CounterFunc registers a counter whose value is read at scrape time —
-// the bridge for cumulative counts maintained elsewhere (flow.Cache's
-// atomics, the compile server's request counters).
+// the bridge for cumulative counts maintained elsewhere (the snapshot
+// structs' tagged fields, see RegisterSnapshot).
 func (r *Registry) CounterFunc(name, help string, f func() float64) {
 	if r == nil {
 		return

@@ -23,6 +23,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	r.scrape.Lock()
+	defer r.scrape.Unlock()
 	r.mu.Lock()
 	hooks := append([]func(){}, r.onScrape...)
 	fams := make([]*family, 0, len(r.byName))

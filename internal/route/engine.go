@@ -541,7 +541,7 @@ func (r *router) run() (*Result, error) {
 		// Present-congestion schedule: the first two iterations discover
 		// congestion at the opening factor, then the price escalates.
 		if iter <= 2 {
-			r.presFac = r.opt.FirstPresFac
+			r.presFac = firstPresFac
 		} else {
 			r.presFac *= r.opt.PresFacMult
 			if r.presFac > 1e6 {
@@ -644,7 +644,7 @@ func (r *router) run() (*Result, error) {
 			for m := 0; m < r.nModes; m++ {
 				if d := occ[m] - r.cap[n]; d > 0 {
 					over = true
-					hist[m] += r.opt.AccFac * float64(d)
+					hist[m] += accFac * float64(d)
 					if int(d) > r.stats.PeakOveruse {
 						r.stats.PeakOveruse = int(d)
 					}

@@ -114,11 +114,17 @@ func (s Stats) TotalRerouted() int {
 // every layer that reports router work (the compile service's JSON, the
 // experiment sweep's group artifacts).
 type Summary struct {
-	Iterations  int
-	Connections int
-	Rerouted    int
-	Requeued    int
-	PeakOveruse int
+	// Iterations is the summed negotiation iteration count.
+	Iterations int `json:"iterations"`
+	// Connections is the summed source→sink connection count.
+	Connections int `json:"connections"`
+	// Rerouted is the summed number of connection reroutes (the cold
+	// route counts each connection once; congested iterations add more).
+	Rerouted int `json:"rerouted"`
+	// PeakOveruse is the worst single-mode node overuse seen anywhere.
+	PeakOveruse int `json:"peak_overuse"`
+	// Requeued counts batch commits rerouted after conflicts.
+	Requeued int `json:"requeued,omitempty"`
 }
 
 // Add folds one route's Stats into the aggregate.
@@ -141,13 +147,19 @@ type Result struct {
 	Stats Stats
 }
 
+// The PathFinder cost constants: the present-congestion factor of the
+// first iteration, the weight of each iteration's overuse in the history
+// cost, and the A* lower-bound weight on Manhattan distance.
+const (
+	firstPresFac = 0.5
+	accFac       = 1.0
+	aStarFac     = 1.1
+)
+
 // Options tunes the router.
 type Options struct {
-	MaxIters     int     // default 40
-	FirstPresFac float64 // default 0.5
-	PresFacMult  float64 // default 1.8
-	AccFac       float64 // default 1.0
-	AStarFac     float64 // default 1.1
+	MaxIters    int     // default 40
+	PresFacMult float64 // default 1.8
 	// ModeCount is the number of modes for Tunable routing: occupancy is
 	// tracked per mode, so nets with disjoint mode masks can share wires,
 	// pins and sinks — each mode reconfigures the switches for itself.
@@ -190,17 +202,8 @@ func (o *Options) fill() {
 	if o.MaxIters == 0 {
 		o.MaxIters = 40
 	}
-	if o.FirstPresFac == 0 {
-		o.FirstPresFac = 0.5
-	}
 	if o.PresFacMult == 0 {
 		o.PresFacMult = 1.8
-	}
-	if o.AccFac == 0 {
-		o.AccFac = 1.0
-	}
-	if o.AStarFac == 0 {
-		o.AStarFac = 1.1
 	}
 	if o.ModeCount == 0 {
 		o.ModeCount = 1

@@ -27,16 +27,16 @@ func (a pqItem) less(b pqItem) bool {
 }
 
 // seedItem is one seed-frontier entry: 8 bytes, integer-keyed. A seed's
-// est is AStarFac·distance with the path cost always zero, and x ↦
-// AStarFac·x is strictly monotone, so ordering by (key, node) — where
-// key is the Manhattan distance, sign-flipped if AStarFac is negative —
-// is exactly the (est, node) order of the main heap. Integer compares
+// est is aStarFac·distance with the path cost always zero, and x ↦
+// aStarFac·x is strictly increasing, so ordering by (key, node) — where
+// key is the Manhattan distance — is exactly the (est, node) order of
+// the main heap. Integer compares
 // and half-size sift traffic make loading the seed frontier (the bulk of
 // all queue entries, re-done per connection) much cheaper; the float est
 // is materialised only when a seed top is compared against the main
 // heap's.
 type seedItem struct {
-	key  int32 // Manhattan distance to the sink (negated iff AStarFac < 0)
+	key  int32 // Manhattan distance to the sink
 	node int32
 }
 
@@ -251,8 +251,6 @@ func (s *searcher) search(sink int32) ([]int32, error) {
 	// cached bound would never be read).
 	s.seeds = s.seeds[:0]
 	sx, sy := int32(r.g.Xs[sink]), int32(r.g.Ys[sink])
-	fac := r.opt.AStarFac
-	negFac := fac < 0
 	for _, n := range s.seedList {
 		dx := int32(r.g.Xs[n]) - sx
 		if dx < 0 {
@@ -262,25 +260,17 @@ func (s *searcher) search(sink int32) ([]int32, error) {
 		if dy < 0 {
 			dy = -dy
 		}
-		key := dx + dy
-		if negFac {
-			key = -key
-		}
 		s.visited[n] = 0
 		s.prev[n] = -1
 		s.heapPushes++
-		s.seeds = append(s.seeds, seedItem{key: key, node: n})
+		s.seeds = append(s.seeds, seedItem{key: dx + dy, node: n})
 	}
 	s.heapifySeeds()
 	// seedEst materialises the seed top's float est for the cross-queue
-	// comparison — the same fac·distance product the one-heap scheme
+	// comparison — the same aStarFac·distance product the one-heap scheme
 	// stored, so the interleaving is bit-identical.
 	seedEst := func() float64 {
-		d := s.seeds[0].key
-		if negFac {
-			d = -d
-		}
-		return float64(d) * fac
+		return float64(s.seeds[0].key) * aStarFac
 	}
 	sinkFlag := r.g.SinkFlags
 	for len(s.heap) > 0 || len(s.seeds) > 0 {
@@ -345,7 +335,7 @@ func (s *searcher) lowerBound(n, target int32) float64 {
 	if dy < 0 {
 		dy = -dy
 	}
-	return float64(dx+dy) * s.r.opt.AStarFac
+	return float64(dx+dy) * aStarFac
 }
 
 // The priority queue is a 4-ary implicit heap with a node→index side

@@ -137,7 +137,6 @@ type Dispatcher struct {
 	reg            *obs.Registry
 	forwardSeconds *obs.Histogram
 	inflightGauge  *obs.Gauge
-	metricsSnap    atomic.Pointer[DispatchStats]
 }
 
 // NewDispatcher builds a dispatcher over the given backend base URLs
@@ -262,13 +261,7 @@ func (d *Dispatcher) Handler() http.Handler {
 		})
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		now := time.Now()
-		avail := 0
-		for _, b := range d.backends {
-			if b.available(now) {
-				avail++
-			}
-		}
+		avail := d.availableBackends()
 		status, state := http.StatusOK, "ready"
 		if avail == 0 {
 			status, state = http.StatusServiceUnavailable, "no backend available"
@@ -448,15 +441,16 @@ type BackendStats struct {
 	Available bool `json:"available"`
 }
 
-// DispatchStats is the dispatcher's /stats document.
+// DispatchStats is the dispatcher's /stats document. Its metric-tagged
+// fields are also its /metrics families.
 type DispatchStats struct {
-	UptimeSeconds int64          `json:"uptime_seconds"`
-	Requests      uint64         `json:"requests"`
-	Shed          uint64         `json:"shed"`
-	Retries       uint64         `json:"retries"`
-	Failed        uint64         `json:"failed"`
-	Admitted      int64          `json:"admitted"`
-	QueueLimit    int            `json:"queue_limit"`
+	UptimeSeconds int64          `json:"uptime_seconds" metric:"mm_fleet_uptime_seconds" help:"Seconds since the dispatcher started."`
+	Requests      uint64         `json:"requests" metric:"mm_fleet_requests_total" help:"Requests accepted by the dispatcher."`
+	Shed          uint64         `json:"shed" metric:"mm_fleet_shed_total" help:"Requests shed with 503 by dispatcher admission control."`
+	Retries       uint64         `json:"retries" metric:"mm_fleet_retries_total" help:"Failover attempts after a backend failure or 503."`
+	Failed        uint64         `json:"failed" metric:"mm_fleet_failed_total" help:"Requests that exhausted every backend."`
+	Admitted      int64          `json:"admitted" metric:"mm_fleet_admitted" help:"Requests currently admitted by the dispatcher."`
+	QueueLimit    int            `json:"queue_limit" metric:"mm_fleet_queue_limit" help:"Admission limit on requests in flight through the dispatcher."`
 	Backends      []BackendStats `json:"backends"`
 }
 
@@ -484,10 +478,23 @@ func (d *Dispatcher) Stats() DispatchStats {
 	return st
 }
 
+// availableBackends counts the backends eligible for routing right now.
+func (d *Dispatcher) availableBackends() int {
+	now := time.Now()
+	n := 0
+	for _, b := range d.backends {
+		if b.available(now) {
+			n++
+		}
+	}
+	return n
+}
+
 // Instrument registers the dispatcher's mm_fleet_* metrics into reg and
-// makes /metrics serve it. Counter families are snapshot-backed through
-// one OnScrape Stats() call, so /stats and /metrics render from the same
-// construction path (the PR 9 rule). Call before serving.
+// makes /metrics serve it: the forward latency histogram, live backend
+// and in-flight gauges, and one family per metric-tagged field of
+// DispatchStats, read from one Stats() snapshot per exposition so /stats
+// and /metrics agree. Call before serving.
 func (d *Dispatcher) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -498,45 +505,17 @@ func (d *Dispatcher) Instrument(reg *obs.Registry) {
 		obs.DurationBuckets)
 	d.inflightGauge = reg.Gauge("mm_fleet_inflight",
 		"Requests currently being dispatched.")
-	reg.OnScrape(func() {
-		snap := d.Stats()
-		d.metricsSnap.Store(&snap)
-	})
-	snap := func(f func(*DispatchStats) float64) func() float64 {
-		return func() float64 {
-			p := d.metricsSnap.Load()
-			if p == nil {
-				return 0
-			}
-			return f(p)
-		}
-	}
 	reg.GaugeFunc("mm_fleet_backends", "Configured backend count.",
 		func() float64 { return float64(len(d.backends)) })
 	reg.GaugeFunc("mm_fleet_backends_available", "Backends currently eligible for routing.",
-		snap(func(st *DispatchStats) float64 {
-			n := 0
-			for _, b := range st.Backends {
-				if b.Available {
-					n++
-				}
-			}
-			return float64(n)
-		}))
-	reg.CounterFunc("mm_fleet_requests_total", "Requests accepted by the dispatcher.",
-		snap(func(st *DispatchStats) float64 { return float64(st.Requests) }))
-	reg.CounterFunc("mm_fleet_shed_total", "Requests shed with 503 by dispatcher admission control.",
-		snap(func(st *DispatchStats) float64 { return float64(st.Shed) }))
-	reg.CounterFunc("mm_fleet_retries_total", "Failover attempts after a backend failure or 503.",
-		snap(func(st *DispatchStats) float64 { return float64(st.Retries) }))
-	reg.CounterFunc("mm_fleet_failed_total", "Requests that exhausted every backend.",
-		snap(func(st *DispatchStats) float64 { return float64(st.Failed) }))
+		func() float64 { return float64(d.availableBackends()) })
 	reg.CounterFunc("mm_fleet_backend_errors_total", "Transport-level forward failures across all backends.",
-		snap(func(st *DispatchStats) float64 {
+		func() float64 {
 			var n uint64
-			for _, b := range st.Backends {
-				n += b.Failures
+			for _, b := range d.backends {
+				n += b.failures.Load()
 			}
 			return float64(n)
-		}))
+		})
+	obs.RegisterSnapshot(reg, d.Stats)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/flow"
+	"repro/internal/obs"
 )
 
 // fakeBackend is a stub worker: it answers /compile with a canned status
@@ -222,6 +223,42 @@ func TestDispatcherFailover(t *testing.T) {
 	}
 	if d.Stats().Retries != before {
 		t.Fatal("ejected backend was still tried first")
+	}
+}
+
+// TestDispatcherMetricsMatchStats: every metric-tagged DispatchStats
+// field is served on /metrics with its /stats value, and the two families
+// computed from the backend list agree with the backend rows.
+func TestDispatcherMetricsMatchStats(t *testing.T) {
+	live := newFakeBackend(t, http.StatusOK, `{}`)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadURL := dead.URL
+	dead.Close()
+	d, ts := newTestDispatcher(t, DispatchOptions{Cooldown: time.Minute}, deadURL, live.ts.URL)
+	d.Instrument(obs.NewRegistry())
+	for seed := int64(0); seed < 4; seed++ {
+		resp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(loadRequestBody(t, seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	text, snap := scrapeCoherent[DispatchStats](t, ts.URL)
+	checkSnapshotMetrics(t, text, snap)
+	var avail, failures float64
+	for _, b := range snap.Backends {
+		if b.Available {
+			avail++
+		}
+		failures += float64(b.Failures)
+	}
+	if failures == 0 {
+		t.Fatal("no request tried the dead backend")
+	}
+	values := metricValues(t, text)
+	if values["mm_fleet_backends_available"] != avail || values["mm_fleet_backend_errors_total"] != failures {
+		t.Fatalf("computed fleet families %v available / %v errors, backend rows say %v / %v",
+			values["mm_fleet_backends_available"], values["mm_fleet_backend_errors_total"], avail, failures)
 	}
 }
 

@@ -3,11 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -116,26 +117,96 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// Satellite contract: /stats and /metrics are the same snapshot
-	// rendered two ways, so the shared counters must agree exactly.
-	resp2, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	// /stats and /metrics render the same snapshot struct, so every
+	// metric-tagged field — the nested flow.Stats and store.Stats
+	// included — must be served with exactly its /stats value.
+	text, snap := scrapeCoherent[StatsSnapshot](t, ts.URL)
+	checkSnapshotMetrics(t, text, snap)
+	if snap.Cache.Store.Puts == 0 {
+		t.Fatal("a cold compile against a store recorded no puts")
 	}
-	defer resp2.Body.Close()
-	var snap StatsSnapshot
-	if err := json.NewDecoder(resp2.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
+}
+
+// scrapeCoherent fetches /stats, /metrics and /stats again until the two
+// /stats documents agree: the counters only grow, so the /metrics body
+// between two equal snapshots shows exactly that snapshot.
+func scrapeCoherent[T any](t *testing.T, url string) ([]byte, T) {
+	t.Helper()
+	get := func(path string) []byte {
+		resp, err := http.Get(url + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
 	}
-	for series, want := range map[string]uint64{
-		"mm_requests_total ":            snap.Requests,
-		"mm_compiles_total ":            snap.Compiles,
-		"mm_cache_place_anneals_total ": snap.Cache.PlaceAnneals,
-	} {
-		if !bytes.Contains(text, []byte(fmt.Sprintf("%s%d", series, want))) {
-			t.Errorf("/metrics disagrees with /stats on %s(want %d)\n%s", series, want, text)
+	stats := func() T {
+		var v T
+		if err := json.Unmarshal(get("/stats"), &v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for attempt := 0; ; attempt++ {
+		before := stats()
+		text := get("/metrics")
+		if after := stats(); reflect.DeepEqual(before, after) {
+			return text, before
+		}
+		if attempt == 5 {
+			t.Fatal("/stats kept changing between scrapes")
 		}
 	}
+}
+
+// checkSnapshotMetrics requires every metric-tagged field of snap to be
+// served on /metrics as an unlabeled sample of its value, under a TYPE
+// its name's suffix implies.
+func checkSnapshotMetrics(t *testing.T, text []byte, snap any) {
+	t.Helper()
+	stats, err := obs.ValidateText(text)
+	if err != nil {
+		t.Fatalf("/metrics is not valid exposition: %v\n%s", err, text)
+	}
+	values := metricValues(t, text)
+	fields := obs.Fields(snap)
+	if len(fields) == 0 {
+		t.Fatalf("%T has no metric-tagged fields", snap)
+	}
+	for _, f := range fields {
+		typ := "gauge"
+		if strings.HasSuffix(f.Name, "_total") {
+			typ = "counter"
+		}
+		if got := stats.Families[f.Name]; got != typ {
+			t.Errorf("%s: TYPE %q, want %q", f.Name, got, typ)
+		}
+		if got, ok := values[f.Name]; !ok || got != f.Value {
+			t.Errorf("/metrics %s = %v (present %v), /stats says %v", f.Name, got, ok, f.Value)
+		}
+	}
+}
+
+// metricValues maps every unlabeled sample of an exposition to its value.
+func metricValues(t *testing.T, text []byte) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(text), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		out[name] = v
+	}
+	return out
 }
 
 // TestMetricsDisabled: a server never Instrumented must refuse the

@@ -51,12 +51,7 @@ type Server struct {
 	reg            *obs.Registry
 	compileSeconds *obs.HistogramVec
 	inflightGauge  *obs.Gauge
-	// metricsSnap holds the StatsSnapshot taken by the last /metrics
-	// scrape: the snapshot-backed counter families read from it, so one
-	// Stats() call feeds every series of one exposition — /metrics and
-	// /stats render from the same construction path by design.
-	metricsSnap atomic.Pointer[StatsSnapshot]
-	pprof       bool
+	pprof          bool
 
 	// testHookBeforeCompile, when set, runs in the winning request's
 	// goroutine after it registered as in-flight and before it compiles —
@@ -96,13 +91,12 @@ func NewServer(cache *flow.Cache, workers int) *Server {
 //
 //   - mm_compile_seconds{path=cold|warm|delta|dedup} — request latency
 //     histogram by serving path;
-//   - mm_requests_inflight, mm_compile_workers, mm_compile_workers_busy —
-//     saturation gauges;
-//   - mm_requests_total / mm_requests_deduped_total / mm_compiles_total /
-//     mm_compile_failures_total and the mm_cache_* / mm_store_* counter
-//     families — snapshot-backed: an OnScrape hook takes one Stats()
-//     snapshot per exposition, so /metrics and /stats always render from
-//     the same construction path and one scrape is internally coherent.
+//   - mm_requests_inflight and mm_compile_workers_busy — live gauges;
+//   - one family per metric-tagged field of StatsSnapshot (its traffic
+//     counters, queue gauges and the nested mm_cache_* / mm_store_*
+//     families of flow.Stats), read from one Stats() snapshot per
+//     exposition, so /metrics and /stats always agree and one scrape is
+//     internally coherent.
 //
 // The same registry also receives the flows' mm_route_* / mm_anneal_*
 // work metrics (it is threaded into every compile's Env). Call before
@@ -117,73 +111,10 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		obs.DurationBuckets, "path")
 	s.inflightGauge = reg.Gauge("mm_requests_inflight",
 		"Compile requests currently being served (including deduplicated joiners).")
-	reg.GaugeFunc("mm_compile_workers",
-		"Size of the compile worker pool.",
-		func() float64 { return float64(s.workers) })
 	reg.GaugeFunc("mm_compile_workers_busy",
 		"Compile workers currently executing a flow.",
 		func() float64 { return float64(len(s.sem)) })
-	reg.OnScrape(func() {
-		snap := s.Stats()
-		s.metricsSnap.Store(&snap)
-	})
-	snap := func(f func(*StatsSnapshot) float64) func() float64 {
-		return func() float64 {
-			p := s.metricsSnap.Load()
-			if p == nil {
-				return 0
-			}
-			return f(p)
-		}
-	}
-	reg.GaugeFunc("mm_uptime_seconds", "Seconds since the server started.",
-		snap(func(st *StatsSnapshot) float64 { return float64(st.UptimeSeconds) }))
-	reg.CounterFunc("mm_requests_total", "Compile requests accepted.",
-		snap(func(st *StatsSnapshot) float64 { return float64(st.Requests) }))
-	reg.CounterFunc("mm_requests_deduped_total", "Requests joined to an identical in-flight compile.",
-		snap(func(st *StatsSnapshot) float64 { return float64(st.Deduped) }))
-	reg.CounterFunc("mm_compiles_total", "Flow executions started.",
-		snap(func(st *StatsSnapshot) float64 { return float64(st.Compiles) }))
-	reg.CounterFunc("mm_compile_failures_total", "Compiles that returned an error.",
-		snap(func(st *StatsSnapshot) float64 { return float64(st.Failures) }))
-	reg.CounterFunc("mm_requests_shed_total", "Requests refused with 503 by admission control.",
-		snap(func(st *StatsSnapshot) float64 { return float64(st.Shed) }))
-	reg.GaugeFunc("mm_compile_queue_limit", "Admission limit on in-flight compile requests (0: unbounded).",
-		snap(func(st *StatsSnapshot) float64 { return float64(st.QueueLimit) }))
-	reg.GaugeFunc("mm_compile_admitted", "Compile requests currently admitted (executing, queued or joined).",
-		snap(func(st *StatsSnapshot) float64 { return float64(st.Admitted) }))
-	for _, m := range []struct {
-		name, help string
-		get        func(*flow.Stats) uint64
-	}{
-		{"mm_cache_graph_builds_total", "Routing-resource graphs built.", func(c *flow.Stats) uint64 { return c.GraphBuilds }},
-		{"mm_cache_graph_hits_total", "Graph requests served from memory.", func(c *flow.Stats) uint64 { return c.GraphHits }},
-		{"mm_cache_graph_loads_total", "Graphs decoded from the artifact store.", func(c *flow.Stats) uint64 { return c.GraphLoads }},
-		{"mm_cache_graph_store_hits_total", "Graph keys found in the artifact store.", func(c *flow.Stats) uint64 { return c.GraphStoreHits }},
-		{"mm_cache_place_anneals_total", "Placement anneals executed.", func(c *flow.Stats) uint64 { return c.PlaceAnneals }},
-		{"mm_cache_place_hits_total", "Placement requests served from memory.", func(c *flow.Stats) uint64 { return c.PlaceHits }},
-		{"mm_cache_place_store_hits_total", "Placements decoded from the artifact store.", func(c *flow.Stats) uint64 { return c.PlaceStoreHits }},
-		{"mm_cache_artifact_hits_total", "Top-level artifact store hits.", func(c *flow.Stats) uint64 { return c.ArtifactHits }},
-		{"mm_cache_artifact_misses_total", "Top-level artifact store misses.", func(c *flow.Stats) uint64 { return c.ArtifactMisses }},
-		{"mm_cache_mem_flushes_total", "Wholesale flushes of the in-memory memo tier.", func(c *flow.Stats) uint64 { return c.MemFlushes }},
-		{"mm_cache_place_transfers_total", "Anneals seeded by ECO baseline placement transfer.", func(c *flow.Stats) uint64 { return c.PlaceTransfers }},
-		{"mm_cache_warm_route_nets_total", "Nets seeded from ECO baseline routing trees.", func(c *flow.Stats) uint64 { return c.WarmRouteNets }},
-		{"mm_cache_baseline_misses_total", "Delta compiles that fell back to cold.", func(c *flow.Stats) uint64 { return c.BaselineMisses }},
-		{"mm_store_hits_total", "Persistent store reads that hit.", func(c *flow.Stats) uint64 { return c.Store.Hits }},
-		{"mm_store_misses_total", "Persistent store reads that missed.", func(c *flow.Stats) uint64 { return c.Store.Misses }},
-		{"mm_store_corrupt_total", "Persistent store entries that failed verification.", func(c *flow.Stats) uint64 { return c.Store.Corrupt }},
-		{"mm_store_bytes_read_total", "Bytes read from the persistent store.", func(c *flow.Stats) uint64 { return uint64(c.Store.BytesRead) }},
-		{"mm_store_bytes_written_total", "Bytes written to the persistent store.", func(c *flow.Stats) uint64 { return uint64(c.Store.BytesWritten) }},
-		{"mm_store_evictions_total", "Entries evicted from the persistent store.", func(c *flow.Stats) uint64 { return c.Store.Evictions }},
-		{"mm_store_remote_hits_total", "Local store misses served by the remote tier.", func(c *flow.Stats) uint64 { return c.Store.RemoteHits }},
-		{"mm_store_remote_misses_total", "Keys absent from both store tiers.", func(c *flow.Stats) uint64 { return c.Store.RemoteMisses }},
-		{"mm_store_remote_puts_total", "Artifacts pushed to the remote store tier.", func(c *flow.Stats) uint64 { return c.Store.RemotePuts }},
-		{"mm_store_remote_errors_total", "Remote store failures handled fail-open (unreachable, transfer or checksum).", func(c *flow.Stats) uint64 { return c.Store.RemoteErrors }},
-	} {
-		get := m.get
-		reg.CounterFunc(m.name, m.help,
-			snap(func(st *StatsSnapshot) float64 { return float64(get(&st.Cache)) }))
-	}
+	obs.RegisterSnapshot(reg, s.Stats)
 }
 
 // SetQueueLimit bounds the compile admission queue: at most limit
@@ -424,22 +355,25 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
 
-// StatsSnapshot is the /stats document.
+// StatsSnapshot is the /stats document. Its metric-tagged fields, and
+// those of the nested flow.Stats, are also its /metrics families.
 type StatsSnapshot struct {
-	UptimeSeconds int64  `json:"uptime_seconds"`
-	Workers       int    `json:"workers"`
-	Requests      uint64 `json:"requests"`
-	Deduped       uint64 `json:"deduped"`
-	Compiles      uint64 `json:"compiles"`
-	Failures      uint64 `json:"failures"`
+	UptimeSeconds int64  `json:"uptime_seconds" metric:"mm_uptime_seconds" help:"Seconds since the server started."`
+	Workers       int    `json:"workers" metric:"mm_compile_workers" help:"Size of the compile worker pool."`
+	Requests      uint64 `json:"requests" metric:"mm_requests_total" help:"Compile requests accepted."`
+	Deduped       uint64 `json:"deduped" metric:"mm_requests_deduped_total" help:"Requests joined to an identical in-flight compile."`
+	Compiles      uint64 `json:"compiles" metric:"mm_compiles_total" help:"Flow executions started."`
+	Failures      uint64 `json:"failures" metric:"mm_compile_failures_total" help:"Compiles that returned an error."`
 	// Shed counts requests refused with 503 by admission control;
 	// Admitted and QueueLimit describe the queue right now (QueueLimit 0
 	// = shedding disabled).
-	Shed       uint64     `json:"shed"`
-	Admitted   int64      `json:"admitted"`
-	QueueLimit int64      `json:"queue_limit"`
-	Inflight   int        `json:"inflight"`
-	Cache      flow.Stats `json:"cache"`
+	Shed       uint64 `json:"shed" metric:"mm_requests_shed_total" help:"Requests refused with 503 by admission control."`
+	Admitted   int64  `json:"admitted" metric:"mm_compile_admitted" help:"Compile requests currently admitted (executing, queued or joined)."`
+	QueueLimit int64  `json:"queue_limit" metric:"mm_compile_queue_limit" help:"Admission limit on in-flight compile requests (0: unbounded)."`
+	// Inflight counts distinct compile executions in flight; the
+	// deduplicated joiners of one share it.
+	Inflight int        `json:"inflight" metric:"mm_compiles_inflight" help:"Distinct compile executions in flight (deduplicated joiners share one)."`
+	Cache    flow.Stats `json:"cache"`
 }
 
 // Stats returns a snapshot of the server counters.

@@ -1,9 +1,9 @@
 // Package service is the compile service behind cmd/mmserved and the
 // local engine of cmd/mmflow: submit N BLIF mode descriptions, receive
 // the full RunComparison result (region, MDR, DCS, switch-cost matrices)
-// as one JSON document. Keeping the request/response types and the
-// Compile function here means the daemon, the CLI's local path and the
-// CLI's -remote path all speak the same schema by construction.
+// as one JSON document. Keeping the request/response types and
+// CompileEnv here means the daemon, the CLI's local path and the CLI's
+// -remote path all speak the same schema by construction.
 package service
 
 import (
@@ -109,39 +109,6 @@ type SwitchInfo struct {
 	DCSWorst     int               `json:"dcs_worst"`
 }
 
-// RoutingInfo aggregates the router's work statistics over every final
-// route of the compile (the MDR per-mode routes plus both DCS TRoute
-// passes; region-sizing probes are excluded). Deterministic — the numbers
-// are part of the seeded trajectory — so they are safely part of the
-// cached result.
-type RoutingInfo struct {
-	// Iterations is the summed negotiation iteration count.
-	Iterations int `json:"iterations"`
-	// Connections is the summed source→sink connection count.
-	Connections int `json:"connections"`
-	// Rerouted is the summed number of connection reroutes (the cold
-	// route counts each connection once; congested iterations add more).
-	Rerouted int `json:"rerouted"`
-	// PeakOveruse is the worst single-mode node overuse seen anywhere.
-	PeakOveruse int `json:"peak_overuse"`
-	// Requeued counts parallel commits retried serially after conflicts.
-	Requeued int `json:"requeued,omitempty"`
-}
-
-// DeltaInfo reports how a compile used its requested baseline.
-type DeltaInfo struct {
-	// UsedBaseline: the delta path produced this result. BaselineMiss:
-	// a baseline was requested but the compile fell back to cold.
-	UsedBaseline bool `json:"used_baseline"`
-	BaselineMiss bool `json:"baseline_miss,omitempty"`
-	// ReusedModes counts MDR placements inherited verbatim,
-	// PlaceTransfers annealer runs seeded by baseline transfer, and
-	// WarmRouteNets nets seeded from baseline routing trees.
-	ReusedModes    int `json:"reused_modes,omitempty"`
-	PlaceTransfers int `json:"place_transfers,omitempty"`
-	WarmRouteNets  int `json:"warm_route_nets,omitempty"`
-}
-
 // Result is the compile response. Error is set (and every other field
 // possibly partial) when the flow fails.
 type Result struct {
@@ -155,7 +122,12 @@ type Result struct {
 	SpeedupVsMDR float64 `json:"speedup_vs_mdr,omitempty"`
 	WireVsMDR    float64 `json:"wire_vs_mdr,omitempty"`
 
-	Routing *RoutingInfo `json:"routing,omitempty"`
+	// Routing aggregates the router's work over every final route of the
+	// compile (the MDR per-mode routes plus both DCS TRoute passes;
+	// region-sizing probes are excluded). Deterministic — the numbers are
+	// part of the seeded trajectory — so they are safely part of the
+	// cached result.
+	Routing *route.Summary `json:"routing,omitempty"`
 
 	SwitchCost *SwitchInfo `json:"switch_cost,omitempty"`
 
@@ -164,7 +136,7 @@ type Result struct {
 	// CompileRequest.BaselineKey to recompile an edit as a delta.
 	BaselineKey string `json:"baseline_key,omitempty"`
 	// Delta is present when the request asked for a delta compile.
-	Delta *DeltaInfo `json:"delta,omitempty"`
+	Delta *flow.DeltaStats `json:"delta,omitempty"`
 	// Timings is the per-stage wall-time breakdown of THIS process's work
 	// on the request: flow stages for a live compile, a single
 	// artifact-load row for a warm store hit. Wall-clock only — it is
@@ -274,7 +246,7 @@ func RequestKey(nls []*netlist.Netlist, req *CompileRequest) codec.Hash {
 }
 
 // resultVersion covers the Result schema and the semantics of everything
-// CompileNetlists executes. Like every artifact version it is hashed into
+// CompileNetlistsEnv executes. Like every artifact version it is hashed into
 // the store key, so bumping it orphans stale entries.
 //
 // v2: the connection-based incremental router (routing trajectories
@@ -312,16 +284,11 @@ type Env struct {
 	Trace *obs.Trace
 }
 
-// Compile runs the full comparison for a request. The returned Comparison
-// carries the in-memory implementation objects for callers (mmflow -v)
-// that need more than the serialisable Result; remote callers — and warm
-// store hits, which skip the flow entirely — only see the Result. A nil
-// cache is valid and simply disables memoization.
-func Compile(req *CompileRequest, cache *flow.Cache) (*Result, *flow.Comparison, error) {
-	return CompileEnv(req, Env{Cache: cache})
-}
-
-// CompileEnv is Compile with explicit observability plumbing.
+// CompileEnv runs the full comparison for a request. The returned
+// Comparison carries the in-memory implementation objects for callers
+// (mmflow -v) that need more than the serialisable Result; remote
+// callers — and warm store hits, which skip the flow entirely — only see
+// the Result.
 func CompileEnv(req *CompileRequest, env Env) (*Result, *flow.Comparison, error) {
 	nls, err := ParseModes(req)
 	if err != nil {
@@ -330,20 +297,14 @@ func CompileEnv(req *CompileRequest, env Env) (*Result, *flow.Comparison, error)
 	return CompileNetlistsEnv(nls, req, env)
 }
 
-// CompileNetlists is Compile after BLIF parsing (the server parses first
-// to derive the dedup key, then compiles the parsed forms). When the
-// cache carries a persistent store, whole results are content-addressed
-// under the request identity: a warm request returns the stored Result
-// without running any flow, and by determinism that Result is identical
-// to what a fresh compile would produce.
-func CompileNetlists(nls []*netlist.Netlist, req *CompileRequest, cache *flow.Cache) (*Result, *flow.Comparison, error) {
-	return CompileNetlistsEnv(nls, req, Env{Cache: cache})
-}
-
-// CompileNetlistsEnv is CompileNetlists with explicit observability
-// plumbing: every flow stage lands as a span in env.Trace (or an
-// internal trace when nil), and the resulting per-stage breakdown is
-// returned in Result.Timings.
+// CompileNetlistsEnv is CompileEnv after BLIF parsing (the server parses
+// first to derive the dedup key, then compiles the parsed forms). When
+// the cache carries a persistent store, whole results are
+// content-addressed under the request identity: a warm request returns
+// the stored Result without running any flow, and by determinism that
+// Result is identical to what a fresh compile would produce. Every flow
+// stage lands as a span in env.Trace (or an internal trace when nil),
+// and the resulting per-stage breakdown is returned in Result.Timings.
 func CompileNetlistsEnv(nls []*netlist.Netlist, req *CompileRequest, env Env) (*Result, *flow.Comparison, error) {
 	obj, err := req.objective()
 	if err != nil {
@@ -391,13 +352,7 @@ func CompileNetlistsEnv(nls []*netlist.Netlist, req *CompileRequest, env Env) (*
 	if err != nil {
 		return res, nil, fmt.Errorf("mode set does not route: %w", err)
 	}
-	if d := cmp.Delta; d != nil {
-		res.Delta = &DeltaInfo{
-			UsedBaseline: d.UsedBaseline, BaselineMiss: d.BaselineMiss,
-			ReusedModes: d.ReusedModes, PlaceTransfers: d.PlaceTransfers,
-			WarmRouteNets: d.WarmRouteNets,
-		}
-	}
+	res.Delta = cmp.Delta
 	region, mdr := cmp.Region, cmp.MDR
 	dcs := cmp.WireLen
 	if obj == merge.EdgeMatch {
@@ -417,16 +372,12 @@ func CompileNetlistsEnv(nls []*netlist.Netlist, req *CompileRequest, env Env) (*
 	}
 	res.SpeedupVsMDR = flow.Speedup(mdr, dcs)
 	res.WireVsMDR = flow.WireRatio(mdr, dcs)
-	var sum route.Summary
+	res.Routing = &route.Summary{}
 	for _, m := range mdr.PerMode {
-		sum.Add(m.Routing.Stats)
+		res.Routing.Add(m.Routing.Stats)
 	}
-	sum.Add(cmp.EdgeMatch.TRoute.Route.Stats)
-	sum.Add(cmp.WireLen.TRoute.Route.Stats)
-	res.Routing = &RoutingInfo{
-		Iterations: sum.Iterations, Connections: sum.Connections,
-		Rerouted: sum.Rerouted, PeakOveruse: sum.PeakOveruse, Requeued: sum.Requeued,
-	}
+	res.Routing.Add(cmp.EdgeMatch.TRoute.Route.Stats)
+	res.Routing.Add(cmp.WireLen.TRoute.Route.Stats)
 
 	sp := tr.Start("bitstream")
 	sw := &SwitchInfo{

@@ -79,7 +79,7 @@ func stripTimings(t *testing.T, body []byte) []byte {
 
 func TestCompileMatchesFlow(t *testing.T) {
 	req := testRequest(t)
-	res, cmp, err := Compile(req, flow.NewCache())
+	res, cmp, err := CompileEnv(req, Env{Cache: flow.NewCache()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestCompileDeltaBaseline(t *testing.T) {
 	}
 	cache := flow.NewCacheWithStore(st)
 	req := testRequest(t)
-	res, _, err := Compile(req, cache)
+	res, _, err := CompileEnv(req, Env{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestCompileDeltaBaseline(t *testing.T) {
 	edited.Modes = append([]Mode(nil), req.Modes...)
 	edited.Modes[1].BLIF = blifMode(t, 2, 31)
 	edited.BaselineKey = res.BaselineKey
-	res2, _, err := Compile(&edited, cache)
+	res2, _, err := CompileEnv(&edited, Env{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestCompileDeltaBaseline(t *testing.T) {
 	// A bogus baseline falls back to cold, reported but successful.
 	bogus := *req
 	bogus.BaselineKey = "00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff"
-	res3, _, err := Compile(&bogus, cache)
+	res3, _, err := CompileEnv(&bogus, Env{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestCompileDeltaBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache.PutArtifact(lateKey, art)
-	res4, _, err := Compile(&bogus, cache)
+	res4, _, err := CompileEnv(&bogus, Env{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,21 +53,30 @@ const magic = "MMSTOR1\n"
 
 // Stats counts store traffic. Counters only ever increase; read them via
 // Store.Stats for a consistent-enough snapshot (individual counters are
-// atomic, the set is not).
+// atomic, the set is not). Each field's tags define its /metrics family
+// (see obs.RegisterSnapshot).
 type Stats struct {
-	Hits, Misses, Corrupt uint64 // local-tier Get outcomes
-	Puts                  uint64
-	BytesRead             uint64 // payload bytes returned by hits
-	BytesWritten          uint64 // payload bytes stored by puts
-	Evictions             uint64 // entries removed by the size cap
+	// Local-tier Get outcomes.
+	Hits    uint64 `metric:"mm_store_hits_total" help:"Persistent store reads that hit."`
+	Misses  uint64 `metric:"mm_store_misses_total" help:"Persistent store reads that missed."`
+	Corrupt uint64 `metric:"mm_store_corrupt_total" help:"Persistent store entries that failed verification."`
+	Puts    uint64 `metric:"mm_store_puts_total" help:"Artifacts written to the persistent store."`
+	// BytesRead counts payload bytes returned by hits, BytesWritten
+	// payload bytes stored by puts.
+	BytesRead    uint64 `metric:"mm_store_bytes_read_total" help:"Bytes read from the persistent store."`
+	BytesWritten uint64 `metric:"mm_store_bytes_written_total" help:"Bytes written to the persistent store."`
+	// Evictions counts entries removed by the size cap.
+	Evictions uint64 `metric:"mm_store_evictions_total" help:"Entries evicted from the persistent store."`
 	// Remote-tier traffic (all zero without an attached remote).
 	// RemoteHits are local misses served by the remote (and written
 	// through locally); RemoteMisses are keys absent from both tiers;
 	// RemotePuts are artifacts pushed to the remote; RemoteErrors count
 	// every fail-open event — unreachable remote, transfer failure, or a
 	// blob that failed its checksum.
-	RemoteHits, RemoteMisses uint64
-	RemotePuts, RemoteErrors uint64
+	RemoteHits   uint64 `metric:"mm_store_remote_hits_total" help:"Local store misses served by the remote tier."`
+	RemoteMisses uint64 `metric:"mm_store_remote_misses_total" help:"Keys absent from both store tiers."`
+	RemotePuts   uint64 `metric:"mm_store_remote_puts_total" help:"Artifacts pushed to the remote store tier."`
+	RemoteErrors uint64 `metric:"mm_store_remote_errors_total" help:"Remote store failures handled fail-open (unreachable, transfer or checksum)."`
 }
 
 // Store is a content-addressed artifact store rooted at one directory.

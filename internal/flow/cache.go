@@ -133,7 +133,7 @@ type Stats struct {
 	PlaceStoreHits uint64 `metric:"mm_cache_place_store_hits_total" help:"Placements decoded from the artifact store."`
 	// ArtifactHits / ArtifactMisses count top-level artifact lookups —
 	// whole group results (experiments.RunGroup) and whole compile
-	// results (service.CompileNetlistsEnv), the tiers consulted before
+	// results (the service's warm path), the tiers consulted before
 	// running any flow at all.
 	ArtifactHits   uint64 `metric:"mm_cache_artifact_hits_total" help:"Top-level artifact store hits."`
 	ArtifactMisses uint64 `metric:"mm_cache_artifact_misses_total" help:"Top-level artifact store misses."`

@@ -87,13 +87,20 @@ func writeCover(w io.Writer, fn logic.TT) {
 	}
 }
 
+// maxBLIFLine bounds one physical BLIF line, so that input without line
+// breaks cannot grow the read buffer without bound.
+const maxBLIFLine = 1 << 20
+
 // ReadBLIF parses a single-model BLIF description. Supported constructs:
 // .model, .inputs, .outputs, .names (on-set and off-set covers), .latch,
 // .end, comments (#) and line continuations (\). Unsupported directives
 // return an error.
 func ReadBLIF(r io.Reader) (*Netlist, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// The buffer starts small and grows with the longest line, up to the
+	// 1 MiB line limit: allocating the limit up front cost every parse a
+	// zeroed 1 MiB, most of a small mode's parse time.
+	sc.Buffer(nil, maxBLIFLine)
 
 	var lines []string
 	var cont strings.Builder

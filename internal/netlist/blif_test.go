@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -212,4 +213,43 @@ func FuzzReadBLIF(f *testing.F) {
 			t.Fatalf("written BLIF does not re-read: %v\n%s", err, buf.Bytes())
 		}
 	})
+}
+
+// TestBLIFLongLines: the read buffer grows with the input, so a ~100 KB
+// line parses, and the 1 MiB line limit still refuses anything longer.
+func TestBLIFLongLines(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString(".model wide\n.inputs")
+	const n = 17000
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, " i%d", i)
+	}
+	sb.WriteString("\n.outputs o\n.names i0 o\n1 1\n.end\n")
+	if sb.Len() < 100_000 {
+		t.Fatalf("test input only %d bytes", sb.Len())
+	}
+	nl, err := ReadBLIF(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("~100 KB line: %v", err)
+	}
+	if got := nl.Stats().Inputs; got != n {
+		t.Fatalf("parsed %d inputs, want %d", got, n)
+	}
+
+	long := "# " + strings.Repeat("x", maxBLIFLine) + "\n" + sampleBLIF
+	if _, err := ReadBLIF(strings.NewReader(long)); err == nil {
+		t.Fatal("a line over 1 MiB was accepted")
+	}
+}
+
+// BenchmarkReadBLIF parses a small mode, the size the compile service
+// parses per request; run with -benchmem to see the read buffer's share
+// of the allocations.
+func BenchmarkReadBLIF(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadBLIF(strings.NewReader(sampleBLIF)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -30,7 +30,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -129,6 +128,7 @@ type Dispatcher struct {
 	started  time.Time
 	stop     chan struct{}
 	stopOnce sync.Once
+	ids      keyMemo // routing identities of bodies seen before
 
 	admitted                        atomic.Int64
 	requests, shed, retries, failed atomic.Uint64
@@ -303,30 +303,17 @@ func (d *Dispatcher) handleCompile(w http.ResponseWriter, r *http.Request) {
 		defer d.inflightGauge.Add(-1)
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, &Result{Error: "body too large or unreadable"})
-		return
-	}
-	// Parse just far enough to derive the routing identity. A request the
-	// workers would reject is rejected here, once, instead of N times.
-	var req CompileRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, &Result{Error: fmt.Sprintf("bad request: %v", err)})
-		return
-	}
-	nls, err := ParseModes(&req)
-	if err == nil {
-		err = req.validate()
-	}
+	// Identify just far enough to route: a request the workers would
+	// reject is rejected here, once, instead of N times, and a body seen
+	// before is routed from its digest without parsing it again.
+	b, err := d.ids.identify(w, r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, &Result{Error: err.Error()})
 		return
 	}
-	key := RequestKey(nls, &req)
 
 	start := time.Now()
-	status, hdr, respBody, err := d.forward(r.Context(), key, body)
+	status, hdr, respBody, err := d.forward(r.Context(), b.key, b.raw)
 	if d.forwardSeconds != nil {
 		d.forwardSeconds.Observe(time.Since(start).Seconds())
 	}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/flow"
-	"repro/internal/netlist"
 	"repro/internal/obs"
 )
 
@@ -39,12 +38,16 @@ type Server struct {
 	maxQueue int
 	admitted atomic.Int64
 
+	// ids turns request bodies into RequestKeys, from their digest when
+	// the same bytes were identified before.
+	ids keyMemo
+
 	mu       sync.Mutex
 	inflight map[codec.Hash]*call
 
 	started time.Time
 
-	requests, deduped, compiles, failures, shed atomic.Uint64
+	requests, keyMemoHits, deduped, compiles, failures, shed atomic.Uint64
 
 	// Observability (all nil/zero when Instrument was never called; every
 	// use is nil-safe, so the uninstrumented server pays nothing).
@@ -66,9 +69,6 @@ type call struct {
 	done chan struct{}
 	res  *Result
 	err  error
-	// warm marks a result served from the artifact store without running
-	// any flow (the latency histogram's "warm" path).
-	warm bool
 }
 
 // NewServer returns a server executing at most workers concurrent
@@ -215,29 +215,36 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		defer s.admitted.Add(-1)
 	}
 	s.requests.Add(1)
-	var req CompileRequest
-	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, &Result{Error: fmt.Sprintf("bad request: %v", err)})
-		return
-	}
-	nls, err := ParseModes(&req)
+	b, err := s.ids.identify(w, r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, &Result{Error: err.Error()})
 		return
 	}
-	if err := req.validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, &Result{Error: err.Error()})
-		return
+	if b.memoHit {
+		s.keyMemoHits.Add(1)
 	}
 
 	start := time.Now()
 	s.inflightGauge.Add(1)
 	defer s.inflightGauge.Add(-1)
 
-	key := RequestKey(nls, &req)
+	// digest → store → dedup → compile: a stored result is served before
+	// anything else, and only a store miss, which must compile, needs the
+	// parsed modes.
+	run := startRun(Env{Cache: s.cache, Obs: s.reg})
+	run.key = b.key
+	if res := run.warm(); res != nil {
+		s.compiles.Add(1)
+		s.observeCompile("warm", start)
+		s.respond(w, res, nil)
+		return
+	}
+	if err := b.parse(); err != nil {
+		writeJSON(w, http.StatusBadRequest, &Result{Error: err.Error()})
+		return
+	}
 	s.mu.Lock()
-	if c, ok := s.inflight[key]; ok {
+	if c, ok := s.inflight[b.key]; ok {
 		// An identical compile is already executing: join it.
 		s.mu.Unlock()
 		s.deduped.Add(1)
@@ -247,28 +254,24 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c := &call{done: make(chan struct{})}
-	s.inflight[key] = c
+	s.inflight[b.key] = c
 	s.mu.Unlock()
 
 	if s.testHookBeforeCompile != nil {
 		s.testHookBeforeCompile()
 	}
-	s.execute(c, nls, &req, key)
+	s.execute(c, run, b)
 	s.observeCompile(compilePath(c), start)
 	s.respond(w, c.res, c.err)
 }
 
-// compilePath classifies how a winning (non-deduplicated) request was
+// compilePath classifies how a winning (non-deduplicated) compile was
 // served, for the latency histogram's path label.
 func compilePath(c *call) string {
-	switch {
-	case c.warm:
-		return "warm"
-	case c.res != nil && c.res.Delta != nil && c.res.Delta.UsedBaseline:
+	if c.res != nil && c.res.Delta != nil && c.res.Delta.UsedBaseline {
 		return "delta"
-	default:
-		return "cold"
 	}
+	return "cold"
 }
 
 func (s *Server) observeCompile(path string, start time.Time) {
@@ -285,7 +288,7 @@ func (s *Server) observeCompile(path string, start time.Time) {
 // wedge the daemon: without it the duplicates would block on done
 // forever and the semaphore slot would leak until, after `workers`
 // panics, no request could ever compile again.
-func (s *Server) execute(c *call, nls []*netlist.Netlist, req *CompileRequest, key codec.Hash) {
+func (s *Server) execute(c *call, run *compileRun, b *compileBody) {
 	s.sem <- struct{}{} // bound concurrent flow executions
 	s.compiles.Add(1)
 	defer func() {
@@ -294,15 +297,11 @@ func (s *Server) execute(c *call, nls []*netlist.Netlist, req *CompileRequest, k
 		}
 		<-s.sem
 		s.mu.Lock()
-		delete(s.inflight, key)
+		delete(s.inflight, b.key)
 		s.mu.Unlock()
 		close(c.done)
 	}()
-	var cmp *flow.Comparison
-	c.res, cmp, c.err = CompileNetlistsEnv(nls, req, Env{Cache: s.cache, Obs: s.reg})
-	// A nil Comparison with a non-nil Result means the artifact store
-	// served the whole compile — no flow ran.
-	c.warm = c.err == nil && c.res != nil && cmp == nil
+	c.res, _, c.err = run.compile(b.nls, &b.req)
 }
 
 // respond writes a compile outcome: 200 with the result, or 422 with the
@@ -361,8 +360,9 @@ type StatsSnapshot struct {
 	UptimeSeconds int64  `json:"uptime_seconds" metric:"mm_uptime_seconds" help:"Seconds since the server started."`
 	Workers       int    `json:"workers" metric:"mm_compile_workers" help:"Size of the compile worker pool."`
 	Requests      uint64 `json:"requests" metric:"mm_requests_total" help:"Compile requests accepted."`
+	KeyMemoHits   uint64 `json:"key_memo_hits" metric:"mm_requests_key_memo_hits_total" help:"Requests identified from the digest of a body seen before, without parsing it."`
 	Deduped       uint64 `json:"deduped" metric:"mm_requests_deduped_total" help:"Requests joined to an identical in-flight compile."`
-	Compiles      uint64 `json:"compiles" metric:"mm_compiles_total" help:"Flow executions started."`
+	Compiles      uint64 `json:"compiles" metric:"mm_compiles_total" help:"Compiles run or served warm from the result store (deduplicated joiners excluded)."`
 	Failures      uint64 `json:"failures" metric:"mm_compile_failures_total" help:"Compiles that returned an error."`
 	// Shed counts requests refused with 503 by admission control;
 	// Admitted and QueueLimit describe the queue right now (QueueLimit 0
@@ -385,6 +385,7 @@ func (s *Server) Stats() StatsSnapshot {
 		UptimeSeconds: int64(time.Since(s.started).Seconds()),
 		Workers:       s.workers,
 		Requests:      s.requests.Load(),
+		KeyMemoHits:   s.keyMemoHits.Load(),
 		Deduped:       s.deduped.Load(),
 		Compiles:      s.compiles.Load(),
 		Failures:      s.failures.Load(),

@@ -261,12 +261,11 @@ func RequestKey(nls []*netlist.Netlist, req *CompileRequest) codec.Hash {
 const resultVersion = 4
 
 // resultKey derives the store key of a whole compile result from the
-// request's content identity.
-func resultKey(nls []*netlist.Netlist, req *CompileRequest) codec.Hash {
+// request's content identity (its RequestKey).
+func resultKey(requestKey codec.Hash) codec.Hash {
 	w := codec.NewWriter()
 	w.Header("compile-result", resultVersion)
-	h := RequestKey(nls, req)
-	w.String(h.Hex())
+	w.String(requestKey.Hex())
 	return w.Sum()
 }
 
@@ -297,46 +296,83 @@ func CompileEnv(req *CompileRequest, env Env) (*Result, *flow.Comparison, error)
 	return CompileNetlistsEnv(nls, req, env)
 }
 
-// CompileNetlistsEnv is CompileEnv after BLIF parsing (the server parses
-// first to derive the dedup key, then compiles the parsed forms). When
-// the cache carries a persistent store, whole results are
-// content-addressed under the request identity: a warm request returns
-// the stored Result without running any flow, and by determinism that
-// Result is identical to what a fresh compile would produce. Every flow
-// stage lands as a span in env.Trace (or an internal trace when nil),
-// and the resulting per-stage breakdown is returned in Result.Timings.
+// CompileNetlistsEnv is CompileEnv after BLIF parsing. When the cache
+// carries a persistent store, whole results are content-addressed under
+// the request identity: a warm request returns the stored Result without
+// running any flow, and by determinism that Result is identical to what a
+// fresh compile would produce. Every flow stage lands as a span in
+// env.Trace (or an internal trace when nil), and the resulting per-stage
+// breakdown is returned in Result.Timings.
 func CompileNetlistsEnv(nls []*netlist.Netlist, req *CompileRequest, env Env) (*Result, *flow.Comparison, error) {
-	obj, err := req.objective()
-	if err != nil {
+	if _, err := req.objective(); err != nil {
 		return nil, nil, err
 	}
-	cache := env.Cache
+	run := startRun(env)
+	run.key = RequestKey(nls, req)
+	if res := run.warm(); res != nil {
+		return res, nil, nil
+	}
+	return run.compile(nls, req)
+}
+
+// compileRun is one request's way through the compile path: its
+// RequestKey, computed once and handed on, and its trace, whose root
+// "compile" span stays open until the request has its result.
+type compileRun struct {
+	key  codec.Hash
+	env  Env
+	tr   *obs.Trace
+	root *obs.Span
+}
+
+// startRun opens the run's root span; the caller sets key, so that
+// deriving it is timed as part of the compile.
+func startRun(env Env) *compileRun {
 	tr := env.Trace
 	if tr == nil {
 		tr = obs.NewTrace()
 	}
-	root := tr.Start("compile")
-	persistent := cache != nil && cache.Store() != nil
-	var key codec.Hash
-	if persistent {
-		key = resultKey(nls, req)
-		sp := tr.Start("artifact-load")
-		data, ok := cache.GetArtifact(key)
-		if ok {
-			var res Result
-			if jerr := json.Unmarshal(data, &res); jerr == nil && res.Error == "" && res.Region != nil {
-				sp.End()
-				root.SetLabel("path", "warm")
-				root.End()
-				res.Timings = tr.Stages()
-				return &res, nil, nil
-			}
-			// Undecodable or incomplete: fall through and overwrite.
-		}
-		sp.End()
+	return &compileRun{env: env, tr: tr, root: tr.Start("compile")}
+}
+
+// persistent reports whether results are stored, and so can be served
+// warm.
+func (run *compileRun) persistent() bool {
+	return run.env.Cache != nil && run.env.Cache.Store() != nil
+}
+
+// warm is the warm path, the one way a stored result is served: it
+// returns the result stored under the run's key with an artifact-load
+// timing, or nil when there is none (no persistent store, a miss, or an
+// undecodable or incomplete entry, which the compile then overwrites).
+func (run *compileRun) warm() *Result {
+	if !run.persistent() {
+		return nil
 	}
+	sp := run.tr.Start("artifact-load")
+	data, ok := run.env.Cache.GetArtifact(resultKey(run.key))
+	var res Result
+	ok = ok && json.Unmarshal(data, &res) == nil && res.Error == "" && res.Region != nil
+	sp.End()
+	if !ok {
+		return nil
+	}
+	run.root.SetLabel("path", "warm")
+	run.root.End()
+	res.Timings = run.tr.Stages()
+	return &res
+}
+
+// compile runs the flow for the run's request, whose parsed modes are
+// nls, and stores the result when the cache is persistent.
+func (run *compileRun) compile(nls []*netlist.Netlist, req *CompileRequest) (*Result, *flow.Comparison, error) {
+	obj, err := req.objective()
+	if err != nil {
+		return nil, nil, err
+	}
+	cache, tr, root := run.env.Cache, run.tr, run.root
 	cfg := req.config(cache)
-	cfg.Obs = env.Obs
+	cfg.Obs = run.env.Obs
 	cfg.Trace = tr
 	mapped, err := flow.MapModes(nls, cfg)
 	if err != nil {
@@ -401,12 +437,12 @@ func CompileNetlistsEnv(nls []*netlist.Netlist, req *CompileRequest, env Env) (*
 		root.SetLabel("path", "cold")
 	}
 	root.End()
-	if persistent {
+	if run.persistent() {
 		// Store the baseline artifact of THIS compile next to the result,
 		// keyed by the request identity, and hand the key back — the next
 		// edit of these modes passes it as BaselineKey to compile as a
 		// delta against today's run.
-		bkey := flow.BaselineArtifactKey(RequestKey(nls, req))
+		bkey := flow.BaselineArtifactKey(run.key)
 		cache.PutArtifact(bkey, flow.EncodeBaseline(flow.BuildBaseline(cmp, mapped)))
 		res.BaselineKey = bkey.Hex()
 		// A baseline-miss fallback is transient state (the artifact may
@@ -418,7 +454,7 @@ func CompileNetlistsEnv(nls []*netlist.Netlist, req *CompileRequest, env Env) (*
 		// this compile's stage breakdown.
 		if res.Delta == nil || !res.Delta.BaselineMiss {
 			if data, jerr := json.Marshal(res); jerr == nil {
-				cache.PutArtifact(key, data)
+				cache.PutArtifact(resultKey(run.key), data)
 			}
 		}
 	}

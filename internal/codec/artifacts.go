@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/logic"
 	"repro/internal/lutnet"
@@ -126,6 +127,25 @@ func DecodeCircuit(data []byte) (*lutnet.Circuit, error) {
 // that replaces pointer equality as a cache key: structurally equal
 // circuits hash identically within and across processes.
 func HashCircuit(c *lutnet.Circuit) Hash { return Sum(EncodeCircuit(c)) }
+
+// ContentOnly reports whether newC equals oldC in everything
+// EncodeCircuit encodes except block truth tables and FF init values —
+// an edit of LUT contents only. Such an edit keeps every cell, net and
+// name at its index, so any placement or routing of oldC is one of newC;
+// hash-identical circuits qualify trivially.
+func ContentOnly(oldC, newC *lutnet.Circuit) bool {
+	if oldC.Name != newC.Name || oldC.K != newC.K || len(oldC.Blocks) != len(newC.Blocks) ||
+		!slices.Equal(oldC.PINames, newC.PINames) || !slices.Equal(oldC.POs, newC.POs) {
+		return false
+	}
+	for i := range oldC.Blocks {
+		ob, nb := &oldC.Blocks[i], &newC.Blocks[i]
+		if ob.Name != nb.Name || ob.HasFF != nb.HasFF || !slices.Equal(ob.Inputs, nb.Inputs) {
+			return false
+		}
+	}
+	return true
+}
 
 // EncodeNetlist renders the canonical encoding of a gate-level netlist.
 // Node IDs are positional (node i encodes at index i), which the netlist

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/logic"
 	"repro/internal/lutnet"
 	"repro/internal/netlist"
 	"repro/internal/place"
@@ -296,5 +297,51 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 	if r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("reader finished with err=%v remaining=%d", r.Err(), r.Remaining())
+	}
+}
+
+// TestContentOnly: truth-table and FF-init edits are content-only; any
+// change to a name, a fan-in, a register or the cell counts is not.
+func TestContentOnly(t *testing.T) {
+	base := randCircuit(7, 5, 12)
+	clone := func() *lutnet.Circuit {
+		c, err := DecodeCircuit(EncodeCircuit(base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	if !ContentOnly(base, clone()) {
+		t.Fatal("identical circuit is not content-only")
+	}
+	content := clone()
+	b := &content.Blocks[3]
+	b.TT = logic.NewTT(b.TT.NumVars, b.TT.Bits^1)
+	content.Blocks[5].Init = !content.Blocks[5].Init
+	if HashCircuit(content) == HashCircuit(base) || !ContentOnly(base, content) {
+		t.Fatal("truth-table and init edit is not a content-only change")
+	}
+	for name, edit := range map[string]func(c *lutnet.Circuit){
+		"circuit name": func(c *lutnet.Circuit) { c.Name += "'" },
+		"K":            func(c *lutnet.Circuit) { c.K++ },
+		"PI name":      func(c *lutnet.Circuit) { c.PINames[0] += "'" },
+		"block name":   func(c *lutnet.Circuit) { c.Blocks[2].Name += "'" },
+		"FF":           func(c *lutnet.Circuit) { c.Blocks[2].HasFF = !c.Blocks[2].HasFF },
+		"fan-in": func(c *lutnet.Circuit) {
+			in := &c.Blocks[4].Inputs[0]
+			*in = lutnet.Source{Kind: lutnet.SrcPI, Idx: (in.Idx + 1) % len(c.PINames)}
+		},
+		"PO source": func(c *lutnet.Circuit) { c.POs[0].Src.Idx = (c.POs[0].Src.Idx + 1) % len(c.Blocks) },
+		"PO name":   func(c *lutnet.Circuit) { c.POs[0].Name += "'" },
+		"added PO":  func(c *lutnet.Circuit) { c.POs = append(c.POs, c.POs[0]) },
+		"removed block": func(c *lutnet.Circuit) {
+			c.Blocks = c.Blocks[:len(c.Blocks)-1]
+		},
+	} {
+		c := clone()
+		edit(c)
+		if ContentOnly(base, c) {
+			t.Errorf("%s change counted as content-only", name)
+		}
 	}
 }

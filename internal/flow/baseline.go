@@ -99,31 +99,9 @@ func BuildBaseline(cmp *Comparison, modes []*lutnet.Circuit) *Baseline {
 		}
 		b.Modes = append(b.Modes, bm)
 	}
-	b.Merges[merge.WireLength] = BaselineMerge{ModeSites: mergeModeSites(cmp.WireLen.Merge, modes)}
-	b.Merges[merge.EdgeMatch] = BaselineMerge{ModeSites: mergeModeSites(cmp.EdgeMatch.Merge, modes)}
+	b.Merges[merge.WireLength] = BaselineMerge{ModeSites: cmp.WireLen.Merge.ModeSites()}
+	b.Merges[merge.EdgeMatch] = BaselineMerge{ModeSites: cmp.EdgeMatch.Merge.ModeSites()}
 	return b
-}
-
-// mergeModeSites flattens a combined placement into per-mode site vectors:
-// the site of each mode cell is the site of the Tunable group it was
-// assigned to. The result is exactly the form place.TransferInit consumes.
-func mergeModeSites(mres *merge.Result, modes []*lutnet.Circuit) [][]arch.Site {
-	asg := mres.Assignment
-	sites := make([][]arch.Site, len(modes))
-	for m, c := range modes {
-		s := make([]arch.Site, 0, len(c.Blocks)+len(c.PINames)+len(c.POs))
-		for b := range c.Blocks {
-			s = append(s, mres.LUTSite[asg.BlockGroup[m][b]])
-		}
-		for i := range c.PINames {
-			s = append(s, mres.PadSite[asg.PIGroup[m][i]])
-		}
-		for o := range c.POs {
-			s = append(s, mres.PadSite[asg.POGroup[m][o]])
-		}
-		sites[m] = s
-	}
-	return sites
 }
 
 func encodeSites(w *codec.Writer, sites []arch.Site) {

@@ -141,12 +141,13 @@ type Stats struct {
 	// memoryCapEntries bound that keeps a long-running server's
 	// footprint finite).
 	MemFlushes uint64 `metric:"mm_cache_mem_flushes_total" help:"Wholesale flushes of the in-memory memo tier."`
-	// PlaceTransfers counts annealer runs seeded by baseline placement
-	// transfer, and WarmRouteNets nets seeded from baseline routing
+	// PlaceTransfers counts placements taken over from a baseline (by
+	// transfer-seeded anneal or, for content-only edits, inherited
+	// as they are), and WarmRouteNets nets seeded from baseline routing
 	// trees — the ECO delta path's reuse. BaselineMisses counts delta
 	// compiles that fell back to the cold path because their baseline
 	// was missing, corrupt or no longer fit the edited modes.
-	PlaceTransfers uint64 `metric:"mm_cache_place_transfers_total" help:"Anneals seeded by ECO baseline placement transfer."`
+	PlaceTransfers uint64 `metric:"mm_cache_place_transfers_total" help:"Placements taken over from an ECO baseline."`
 	WarmRouteNets  uint64 `metric:"mm_cache_warm_route_nets_total" help:"Nets seeded from ECO baseline routing trees."`
 	BaselineMisses uint64 `metric:"mm_cache_baseline_misses_total" help:"Delta compiles that fell back to cold."`
 	// Store is the persistent tier's own traffic (zero without a store).

@@ -20,7 +20,9 @@ import (
 // against the baseline version with a structural diff, transfers the
 // baseline placements onto the matched portion, quenches the annealers at
 // the warm-start temperature, and seeds the routers from the baseline
-// trees so only nets touching moved or edited cells renegotiate.
+// trees so only nets touching moved or edited cells renegotiate. An edit
+// of LUT contents only keeps the baseline's combined placements as they
+// are (see runDCSDelta).
 //
 // Delta results are deterministic (same baseline + same edit + same seed
 // give byte-identical results) but are a different
@@ -41,12 +43,23 @@ type DeltaStats struct {
 	// ReusedModes counts MDR mode placements inherited verbatim
 	// (hash-identical circuits).
 	ReusedModes int `json:"reused_modes,omitempty"`
-	// PlaceTransfers counts annealer runs seeded by baseline transfer
-	// (edited MDR modes plus the two combined placements).
+	// PlaceTransfers counts placements taken over from the baseline:
+	// annealer runs seeded by transfer (edited MDR modes, and the two
+	// combined placements of a structural edit) plus combined placements
+	// a content-only edit inherits without annealing.
 	PlaceTransfers int `json:"place_transfers,omitempty"`
 	// WarmRouteNets counts nets seeded intact from baseline trees across
 	// every route of the compile.
 	WarmRouteNets int `json:"warm_route_nets,omitempty"`
+}
+
+// transferred counts one placement taken over from the baseline, in d
+// and in the cache's stats.
+func (d *DeltaStats) transferred(c *Cache) {
+	d.PlaceTransfers++
+	if c != nil {
+		c.placeTransfers.Add(1)
+	}
 }
 
 // loadBaseline resolves Config.Baseline to a decoded artifact.
@@ -82,6 +95,7 @@ func runComparisonDelta(name string, modes []*lutnet.Circuit, cfg Config) (*Comp
 	// MDR and the DCS paths consume the same match.
 	diffs := make([]*codec.CircuitDiff, len(modes))
 	oldCs := make([]*lutnet.Circuit, len(modes))
+	contentOnly := true
 	for m, c := range modes {
 		bm := &base.Modes[m]
 		var h codec.Hash
@@ -99,16 +113,17 @@ func runComparisonDelta(name string, modes []*lutnet.Circuit, cfg Config) (*Comp
 		}
 		oldCs[m] = oldC
 		diffs[m] = codec.DiffCircuits(oldC, c)
+		contentOnly = contentOnly && codec.ContentOnly(oldC, c)
 	}
 
 	delta := &DeltaStats{UsedBaseline: true}
 	cmp := &Comparison{Region: region, Delta: delta}
 	cmp.MDR, err = runMDRDelta(modes, region, cfg, base, oldCs, diffs, delta)
 	if err == nil {
-		cmp.EdgeMatch, err = runDCSDelta(name, modes, region, merge.EdgeMatch, cfg, base, oldCs, diffs, delta)
+		cmp.EdgeMatch, err = runDCSDelta(name, modes, region, merge.EdgeMatch, cfg, base, oldCs, diffs, contentOnly, delta)
 	}
 	if err == nil {
-		cmp.WireLen, err = runDCSDelta(name, modes, region, merge.WireLength, cfg, base, oldCs, diffs, delta)
+		cmp.WireLen, err = runDCSDelta(name, modes, region, merge.WireLength, cfg, base, oldCs, diffs, contentOnly, delta)
 	}
 	if err != nil {
 		return nil, err
@@ -225,10 +240,7 @@ func runMDRDelta(modes []*lutnet.Circuit, region *Region, cfg Config, base *Base
 			if err != nil {
 				return nil, fmt.Errorf("flow: delta MDR mode %d: %w", mi, err)
 			}
-			delta.PlaceTransfers++
-			if cfg.Cache != nil {
-				cfg.Cache.placeTransfers.Add(1)
-			}
+			delta.transferred(cfg.Cache)
 		}
 		sp.End()
 		sp = cfg.Trace.Start("route", "mode", strconv.Itoa(mi), "path", "delta")
@@ -248,16 +260,31 @@ func runMDRDelta(modes []*lutnet.Circuit, region *Region, cfg Config, base *Base
 	return aggregateMDR(region, impls), nil
 }
 
-// runDCSDelta is RunDCS seeded from the baseline combined placement:
-// every mode's cells transfer through the diff onto the baseline's
-// per-mode sites, and the combined annealer quenches from there. TPlace
-// refines as usual and TRoute runs cold — tunable routing is rebuilt
-// from the (mostly inherited) placement, which negotiation reconverges
-// quickly anyway.
-func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge.Objective, cfg Config, base *Baseline, oldCs []*lutnet.Circuit, diffs []*codec.CircuitDiff, delta *DeltaStats) (*DCSResult, error) {
+// runDCSDelta is RunDCS seeded from the baseline combined placement.
+// A content-only edit (every mode equal to its baseline version but for
+// LUT contents, see codec.ContentOnly) inherits that placement as it is:
+// its grouping, sites and TPlace problem are the baseline's, so TPlace
+// refines it exactly as the cold flow does and TRoute reproduces the
+// baseline's trees. Any other edit transfers every mode's cells through
+// the diff onto the baseline's per-mode sites and quenches the combined
+// annealer from there; TPlace then refines at the quench temperature.
+// TRoute runs cold on both paths. When that route fails, the objective
+// is re-annealed cold on the baseline region.
+func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge.Objective, cfg Config, base *Baseline, oldCs []*lutnet.Circuit, diffs []*codec.CircuitDiff, contentOnly bool, delta *DeltaStats) (*DCSResult, error) {
 	bm := &base.Merges[obj]
 	if len(bm.ModeSites) != len(modes) {
 		return nil, fmt.Errorf("flow: baseline %s merge has %d modes, request has %d", obj, len(bm.ModeSites), len(modes))
+	}
+	if contentOnly {
+		sp := cfg.Trace.Start("merge", "objective", obj.String(), "path", "inherit")
+		mres, err := merge.FromModeSites(name, modes, region.Arch, obj, bm.ModeSites)
+		sp.End()
+		// Sites that no longer fit the modes or the region fall through
+		// to the transfer path, which re-places what does not fit.
+		if err == nil {
+			delta.transferred(cfg.Cache)
+			return finishDCSDelta(name, modes, region, obj, mres, cfg, cfg)
+		}
 	}
 	inits := make([][]arch.Site, len(modes))
 	for m, c := range modes {
@@ -288,10 +315,7 @@ func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge
 	if err != nil {
 		return nil, err
 	}
-	delta.PlaceTransfers++
-	if cfg.Cache != nil {
-		cfg.Cache.placeTransfers.Add(1)
-	}
+	delta.transferred(cfg.Cache)
 	// TPlace normally refines the combined placement at the refinement
 	// temperature; in the delta path the topology it refines was already
 	// TPlace-refined in the baseline, so open at the warm-start quench
@@ -300,17 +324,25 @@ func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge
 	if qcfg.RefineTempFraction == 0 {
 		qcfg.RefineTempFraction = anneal.QuenchTempFraction
 	}
-	if p, err := tplaceDCS(mres, region.Arch, qcfg); err == nil {
-		if res, err := routeDCS(p, region, obj, qcfg); err == nil {
+	return finishDCSDelta(name, modes, region, obj, mres, qcfg, cfg)
+}
+
+// finishDCSDelta refines a delta combined placement with TPlace under
+// tcfg and routes it, falling back to RunDCS under cfg when either fails.
+func finishDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge.Objective, mres *merge.Result, tcfg, cfg Config) (*DCSResult, error) {
+	if p, err := tplaceDCS(mres, region.Arch, tcfg); err == nil {
+		if res, err := routeDCS(p, region, obj, tcfg); err == nil {
 			return res, nil
 		}
 	}
 	// The quench can leave the tunable circuit unroutable on congested
 	// instances: the combined annealer is blind to pin congestion, and a
 	// placement nudged off the baseline can demand the same input pin
-	// twice in ways no channel width fixes. Re-anneal just this objective
-	// from scratch on the baseline region — the MDR savings and the other
-	// objective's delta are kept, and the retry is deterministic like
-	// everything else here.
+	// twice in ways no channel width fixes. An inherited placement is the
+	// one the baseline routed, so it fails only when the baseline was
+	// placed or routed under another seed or iteration budget. Re-anneal
+	// just this objective from scratch on the baseline region — the MDR
+	// savings and the other objective's delta are kept, and the retry is
+	// deterministic like everything else here.
 	return RunDCS(name, modes, region, obj, cfg)
 }

@@ -5,11 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/codec"
 	"repro/internal/logic"
 	"repro/internal/lutnet"
+	"repro/internal/merge"
 	"repro/internal/store"
 )
 
@@ -35,6 +38,26 @@ func editCircuit(c *lutnet.Circuit, seed int64, nEdits int) *lutnet.Circuit {
 		e.Blocks[bi].TT = logic.NewTT(tt.NumVars, tt.Bits^(uint64(1)<<rng.Intn(rows)))
 	}
 	return e
+}
+
+// rewireCircuit returns a deep copy of c with one LUT input moved onto a
+// primary input the LUT does not read yet — a structural ECO edit, which
+// the delta path must transfer and quench rather than inherit.
+func rewireCircuit(c *lutnet.Circuit, seed int64) *lutnet.Circuit {
+	e := editCircuit(c, seed, 0)
+	rng := rand.New(rand.NewSource(seed))
+	for {
+		b := &e.Blocks[rng.Intn(len(e.Blocks))]
+		if len(b.Inputs) == 0 {
+			continue
+		}
+		pi := lutnet.Source{Kind: lutnet.SrcPI, Idx: rng.Intn(len(e.PINames))}
+		if slices.Contains(b.Inputs, pi) {
+			continue
+		}
+		b.Inputs[rng.Intn(len(b.Inputs))] = pi
+		return e
+	}
 }
 
 // deltaFixture compiles a three-mode group cold, stores its baseline
@@ -119,15 +142,17 @@ func FuzzDecodeBaseline(f *testing.F) {
 }
 
 // TestDeltaEquivalence is the delta-vs-cold equivalence suite: over 20
-// seeded 1-to-3-LUT edits of a three-mode group, every delta compile must
-// (a) succeed and use the baseline, (b) reuse the two untouched modes
-// verbatim and warm-route most nets, (c) be byte-identical at any worker
-// count, and (d) on the sampled edits, stay within the documented QoR
-// envelope of a cold compile of the same edited input: average per-mode
-// wirelength within 1.75x (the delta placement is a quench of the
-// baseline, not a fresh anneal, so some wirelength regression is the
-// price of the speedup; the envelope is asserted so it cannot silently
-// grow).
+// seeded 1-to-3-LUT content edits and 6 single-fan-in rewires of a
+// three-mode group, every delta compile must (a) succeed and use the
+// baseline, (b) reuse the two untouched modes verbatim, take over the
+// edited mode's placement and both combined placements, and warm-route
+// most nets, (c) be byte-identical when repeated, and (d) on the sampled
+// edits, stay within the documented QoR envelope of a cold compile of
+// the same edited input: average per-mode wirelength within 1.75x (an
+// edited mode's placement, and a rewire's combined placements, are a
+// quench of the baseline, not a fresh anneal, so some wirelength
+// regression is the price of the speedup; the envelope is asserted so
+// it cannot silently grow).
 func TestDeltaEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -136,13 +161,40 @@ func TestDeltaEquivalence(t *testing.T) {
 	dcfg := fx.cfg
 	dcfg.Baseline = fx.key.Hex()
 
+	type deltaEdit struct {
+		name       string
+		mode       int
+		edited     *lutnet.Circuit
+		repeat     bool // recompile and require identical results
+		checkQoR   bool
+		structural bool // rewired: transferred and quenched, not inherited
+	}
+	var edits []deltaEdit
 	for i := 0; i < 20; i++ {
-		i := i
-		t.Run(fmt.Sprintf("edit%02d", i), func(t *testing.T) {
-			mi := i % 3
-			nEdits := 1 + i%3
+		mi := i % 3
+		edits = append(edits, deltaEdit{
+			name: fmt.Sprintf("edit%02d", i), mode: mi,
+			edited: editCircuit(fx.mapped[mi], int64(100+i), 1+i%3),
+			repeat: i == 0, checkQoR: i%7 == 0,
+		})
+	}
+	for i := 0; i < 6; i++ {
+		mi := i % 3
+		edits = append(edits, deltaEdit{
+			name: fmt.Sprintf("rewire%02d", i), mode: mi,
+			edited: rewireCircuit(fx.mapped[mi], int64(200+i)),
+			repeat: i == 0, checkQoR: i%3 == 0, structural: true,
+		})
+	}
+
+	for _, e := range edits {
+		e := e
+		t.Run(e.name, func(t *testing.T) {
+			if codec.ContentOnly(fx.mapped[e.mode], e.edited) == e.structural {
+				t.Fatalf("edit is structural=%v but codec.ContentOnly says otherwise", e.structural)
+			}
 			edited := append([]*lutnet.Circuit(nil), fx.mapped...)
-			edited[mi] = editCircuit(fx.mapped[mi], int64(100+i), nEdits)
+			edited[e.mode] = e.edited
 
 			dcmp, err := RunComparison("delta", edited, dcfg)
 			if err != nil {
@@ -168,7 +220,7 @@ func TestDeltaEquivalence(t *testing.T) {
 					dcmp.Region.Arch.Width, dcmp.Region.Arch.Width, dcmp.Region.Arch.W)
 			}
 
-			if i == 0 {
+			if e.repeat {
 				// Determinism: recompiling the same delta is
 				// byte-identical.
 				jcmp, err := RunComparison("delta", edited, dcfg)
@@ -190,7 +242,7 @@ func TestDeltaEquivalence(t *testing.T) {
 				}
 			}
 
-			if i%7 == 0 {
+			if e.checkQoR {
 				// QoR accounting against a cold compile of the same edit.
 				ccmp, err := RunComparison("cold", edited, fx.cfg)
 				if err != nil {
@@ -261,5 +313,96 @@ func TestDeltaFallsBackCold(t *testing.T) {
 	}
 	if cold.WireLen.ReconfigBits != corrupt.WireLen.ReconfigBits {
 		t.Fatal("fallback DCS differs from cold")
+	}
+}
+
+// TestDeltaContentOnly: a delta compile of an edit that changes LUT
+// contents only inherits the baseline's combined placements, so both
+// DCS objectives come out exactly as a cold compile of the edited modes
+// (the baseline's own cold compile routed them on the same region), with
+// the TLUT contents of the edit. Baseline merge sites that no longer fit
+// degrade without a panic: to the transfer path when only an edited
+// mode's sites are off the architecture, to a cold compile when an
+// untouched mode's are too few.
+func TestDeltaContentOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	fx := newDeltaFixture(t)
+	const mi = 1
+	edited := append([]*lutnet.Circuit(nil), fx.mapped...)
+	edited[mi] = editCircuit(fx.mapped[mi], 300, 2)
+
+	dcfg := fx.cfg
+	dcfg.Baseline = fx.key.Hex()
+	dcmp, err := RunComparison("delta", edited, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := dcmp.Delta; d == nil || !d.UsedBaseline || d.PlaceTransfers != 3 {
+		t.Fatalf("delta path not taken or placements not taken over: %+v", d)
+	}
+	ccmp, err := RunComparison("delta", edited, fx.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ccmp.Region.Arch != dcmp.Region.Arch {
+		t.Fatalf("cold region %+v differs from the baseline's %+v", ccmp.Region.Arch, dcmp.Region.Arch)
+	}
+	for _, obj := range []merge.Objective{merge.WireLength, merge.EdgeMatch} {
+		dres, cres := dcmp.WireLen, ccmp.WireLen
+		if obj == merge.EdgeMatch {
+			dres, cres = dcmp.EdgeMatch, ccmp.EdgeMatch
+		}
+		if !reflect.DeepEqual(dres.Merge, cres.Merge) {
+			t.Errorf("%v: inherited combined placement differs from cold", obj)
+		}
+		if dres.TPlaceCost != cres.TPlaceCost {
+			t.Errorf("%v: TPlace cost %v, cold %v", obj, dres.TPlaceCost, cres.TPlaceCost)
+		}
+		if !reflect.DeepEqual(dres.TRoute.Route.Trees, cres.TRoute.Route.Trees) {
+			t.Errorf("%v: TRoute trees differ from cold", obj)
+		}
+		if dres.TRoute.ParamRoutingBits != cres.TRoute.ParamRoutingBits {
+			t.Errorf("%v: %d parameterised routing bits, cold %d", obj, dres.TRoute.ParamRoutingBits, cres.TRoute.ParamRoutingBits)
+		}
+		// The Tunable circuit carries the edit's LUT contents.
+		ext, err := dres.Merge.Tunable.ExtractMode(mi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if codec.HashCircuit(ext) == codec.HashCircuit(fx.mapped[mi]) {
+			t.Errorf("%v: TLUTs carry the baseline's contents, not the edit's", obj)
+		}
+	}
+
+	// Baselines whose wire-length merge sites no longer fit.
+	for _, tc := range []struct {
+		name string
+		mode int
+		bad  func([]arch.Site) []arch.Site
+		miss bool
+	}{
+		{"off-arch", mi, func(s []arch.Site) []arch.Site {
+			s = slices.Clone(s)
+			s[0].X += 1000
+			return s
+		}, false},
+		{"short", (mi + 1) % 3, func(s []arch.Site) []arch.Site { return s[:len(s)-1] }, true},
+	} {
+		b := BuildBaseline(fx.cold, fx.mapped)
+		ms := b.Merges[merge.WireLength].ModeSites
+		ms[tc.mode] = tc.bad(ms[tc.mode])
+		key := codec.Sum([]byte("delta-test-" + tc.name))
+		fx.cfg.Cache.PutArtifact(key, EncodeBaseline(b))
+		bcfg := fx.cfg
+		bcfg.Baseline = key.Hex()
+		bcmp, err := RunComparison("delta", edited, bcfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := bcmp.Delta; d == nil || d.BaselineMiss != tc.miss || d.UsedBaseline == tc.miss {
+			t.Fatalf("%s: delta %+v, want baseline miss %v", tc.name, d, tc.miss)
+		}
 	}
 }

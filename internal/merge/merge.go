@@ -539,6 +539,51 @@ func CombinedPlace(name string, modes []*lutnet.Circuit, a arch.Arch, opt Option
 	return extract(name, modes, st)
 }
 
+// ModeSites flattens the combined placement into per-mode site vectors
+// in the per-mode cell encoding (blocks, then PIs, then POs): the site of
+// each mode cell is the site of the group it was assigned to. This is
+// the form Options.Init, place.TransferInit and FromModeSites consume.
+func (r *Result) ModeSites() [][]arch.Site {
+	asg := r.Assignment
+	sites := make([][]arch.Site, len(asg.BlockGroup))
+	for m := range sites {
+		s := make([]arch.Site, 0, len(asg.BlockGroup[m])+len(asg.PIGroup[m])+len(asg.POGroup[m]))
+		for _, g := range asg.BlockGroup[m] {
+			s = append(s, r.LUTSite[g])
+		}
+		for _, g := range asg.PIGroup[m] {
+			s = append(s, r.PadSite[g])
+		}
+		for _, g := range asg.POGroup[m] {
+			s = append(s, r.PadSite[g])
+		}
+		sites[m] = s
+	}
+	return sites
+}
+
+// FromModeSites rebuilds the Result of a finished combined placement
+// from its per-mode site vectors (sites[m][cell] in the per-mode cell
+// encoding, as Options.Init): no anneal and no pin repair, because a
+// finished placement was repaired before its sites were taken. It
+// reproduces the original Result exactly when the modes have the
+// original's cells and nets; their LUT contents may differ, and the
+// Tunable circuit carries the given modes' contents. Sites that do not
+// fit the modes or the architecture are an error.
+func FromModeSites(name string, modes []*lutnet.Circuit, a arch.Arch, obj Objective, sites [][]arch.Site) (*Result, error) {
+	if len(modes) == 0 {
+		return nil, fmt.Errorf("merge: no modes")
+	}
+	if sites == nil {
+		return nil, fmt.Errorf("merge: no mode sites")
+	}
+	st, err := newState(modes, a, obj, nil, sites)
+	if err != nil {
+		return nil, err
+	}
+	return extract(name, modes, st)
+}
+
 // doSwap exchanges the mode-m occupants of posA and posB.
 func (st *state) doSwap(m int, posA, posB int32) {
 	ca, cb := st.cellAt[m][posA], st.cellAt[m][posB]

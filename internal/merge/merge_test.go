@@ -276,3 +276,55 @@ func TestCombinedPlaceIgnoresChannelWidth(t *testing.T) {
 		}
 	}
 }
+
+// TestRebuildFromModeSites: a finished combined placement rebuilt from
+// its per-mode site vectors — the form an ECO baseline stores — is the
+// same Result, for a two-mode group and for a three-mode group whose
+// placements pin repair changed (under both objectives, repairPins
+// relocates one cell of this group).
+func TestRebuildFromModeSites(t *testing.T) {
+	for _, modes := range [][]*lutnet.Circuit{
+		similarPair(t),
+		{randomCircuit(t, 20, 60), randomCircuit(t, 21, 60), randomCircuit(t, 22, 60)},
+	} {
+		a := archFor(modes)
+		for _, obj := range []Objective{WireLength, EdgeMatch} {
+			res, err := CombinedPlace("mm", modes, a, Options{Seed: 3, Effort: 0.2, Objective: obj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := FromModeSites("mm", modes, a, obj, res.ModeSites())
+			if err != nil {
+				t.Fatalf("%d modes, %v: %v", len(modes), obj, err)
+			}
+			if !reflect.DeepEqual(got, res) {
+				t.Fatalf("%d modes, %v: rebuilt combined placement differs from the original", len(modes), obj)
+			}
+		}
+	}
+}
+
+// TestFromModeSitesRejectsMisfits: site vectors that do not fit the modes
+// or the architecture are an error, never a panic.
+func TestFromModeSitesRejectsMisfits(t *testing.T) {
+	modes := similarPair(t)
+	a := archFor(modes)
+	res, err := CombinedPlace("mm", modes, a, Options{Seed: 5, Effort: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]func([][]arch.Site) [][]arch.Site{
+		"nil":      func([][]arch.Site) [][]arch.Site { return nil },
+		"one mode": func(s [][]arch.Site) [][]arch.Site { return s[:1] },
+		"short":    func(s [][]arch.Site) [][]arch.Site { s[1] = s[1][:len(s[1])-1]; return s },
+		"off-arch": func(s [][]arch.Site) [][]arch.Site { s[0][0].X += 1000; return s },
+		"wrong class": func(s [][]arch.Site) [][]arch.Site {
+			s[0][0] = s[0][len(s[0])-1]
+			return s
+		},
+	} {
+		if _, err := FromModeSites("mm", modes, a, WireLength, bad(res.ModeSites())); err == nil {
+			t.Errorf("%s site vectors accepted", name)
+		}
+	}
+}

@@ -159,6 +159,25 @@ func TestDispatcherShardsByKey(t *testing.T) {
 	}
 }
 
+// firstRankedBody returns the first load request body, by seed, whose
+// identity d ranks url first. The ports of test servers are random, so
+// which seeds qualify changes from run to run.
+func firstRankedBody(t *testing.T, d *Dispatcher, url string) []byte {
+	t.Helper()
+	for seed := int64(0); ; seed++ {
+		b := loadRequestBody(t, seed)
+		var req CompileRequest
+		_ = json.Unmarshal(b, &req)
+		nls, err := ParseModes(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.rank(RequestKey(nls, &req))[0].url == url {
+			return b
+		}
+	}
+}
+
 // TestDispatcherFailover: a dead backend is retried around, the request
 // succeeds on the survivor, and the dead backend is ejected for the
 // cooldown.
@@ -170,22 +189,9 @@ func TestDispatcherFailover(t *testing.T) {
 
 	d, ts := newTestDispatcher(t, DispatchOptions{Cooldown: time.Minute}, deadURL, live.ts.URL)
 
-	// Find a request identity that ranks the dead backend first, so the
-	// test deterministically exercises the failover path.
-	var body []byte
-	for seed := int64(0); ; seed++ {
-		b := loadRequestBody(t, seed)
-		var req CompileRequest
-		_ = json.Unmarshal(b, &req)
-		nls, err := ParseModes(&req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.rank(RequestKey(nls, &req))[0].url == deadURL {
-			body = b
-			break
-		}
-	}
+	// A request identity that ranks the dead backend first exercises the
+	// failover path deterministically.
+	body := firstRankedBody(t, d, deadURL)
 	resp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -236,8 +242,14 @@ func TestDispatcherMetricsMatchStats(t *testing.T) {
 	dead.Close()
 	d, ts := newTestDispatcher(t, DispatchOptions{Cooldown: time.Minute}, deadURL, live.ts.URL)
 	d.Instrument(obs.NewRegistry())
+	// The first body ranks the dead backend first, so at least one
+	// request fails over whatever ports the servers got.
+	bodies := [][]byte{firstRankedBody(t, d, deadURL)}
 	for seed := int64(0); seed < 4; seed++ {
-		resp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(loadRequestBody(t, seed)))
+		bodies = append(bodies, loadRequestBody(t, seed))
+	}
+	for _, body := range bodies {
+		resp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -224,6 +224,61 @@ func TestMetricsDisabled(t *testing.T) {
 	}
 }
 
+// TestCompileSpanCoversStoreWrites: a persistent compile stores its
+// baseline artifact and result inside an "artifact-store" span, and the
+// root "compile" span stays open until those writes are done, so no part
+// of the request's time lies outside every span.
+func TestCompileSpanCoversStoreWrites(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := flow.NewCacheWithStore(st)
+	tr := obs.NewTrace()
+	res, _, err := CompileEnv(testRequest(t), Env{Cache: cache, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BaselineKey == "" || cache.Stats().Store.Puts == 0 {
+		t.Fatal("persistent compile stored nothing")
+	}
+	var chrome bytes.Buffer
+	if err := tr.WriteChrome(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	type event struct {
+		Name    string
+		Ts, Dur float64 // microseconds
+	}
+	var events []event
+	if err := json.Unmarshal(chrome.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	var root, put, last *event
+	for i := range events {
+		switch ev := &events[i]; ev.Name {
+		case "compile":
+			root = ev
+		case "artifact-store":
+			put = ev
+		default:
+			if last == nil || ev.Ts >= last.Ts {
+				last = ev
+			}
+		}
+	}
+	if root == nil || put == nil {
+		t.Fatalf("trace lacks the compile or artifact-store span: %v", tr.SpanNames())
+	}
+	// Both ends are truncated to whole microseconds, hence the slack.
+	if put.Ts < root.Ts || put.Ts+put.Dur > root.Ts+root.Dur+1 {
+		t.Fatalf("artifact-store [%v, +%v] lies outside compile [%v, +%v]", put.Ts, put.Dur, root.Ts, root.Dur)
+	}
+	if last != nil && put.Ts < last.Ts {
+		t.Fatalf("artifact-store opened before the %s span", last.Name)
+	}
+}
+
 // TestTraceCoversStages: a traced compile must produce a span per flow
 // stage, the Chrome export must carry them all, and the warm path must
 // report its artifact load instead of pretending the flow ran.

@@ -258,7 +258,10 @@ func RequestKey(nls []*netlist.Netlist, req *CompileRequest) codec.Hash {
 // v4: ECO delta compilation — the baseline key joined the request
 // identity, results carry BaselineKey/Delta, and every persistent
 // compile stores a baseline artifact alongside its result.
-const resultVersion = 4
+//
+// v5: a delta compile of an edit that changes LUT contents only inherits
+// the baseline's combined placements instead of quenching them.
+const resultVersion = 5
 
 // resultKey derives the store key of a whole compile result from the
 // request's content identity (its RequestKey).
@@ -436,8 +439,8 @@ func (run *compileRun) compile(nls []*netlist.Netlist, req *CompileRequest) (*Re
 	} else {
 		root.SetLabel("path", "cold")
 	}
-	root.End()
 	if run.persistent() {
+		sp := tr.Start("artifact-store")
 		// Store the baseline artifact of THIS compile next to the result,
 		// keyed by the request identity, and hand the key back — the next
 		// edit of these modes passes it as BaselineKey to compile as a
@@ -457,7 +460,9 @@ func (run *compileRun) compile(nls []*netlist.Netlist, req *CompileRequest) (*Re
 				cache.PutArtifact(resultKey(run.key), data)
 			}
 		}
+		sp.End()
 	}
+	root.End()
 	res.Timings = tr.Stages()
 	return res, cmp, nil
 }

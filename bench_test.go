@@ -360,7 +360,7 @@ func BenchmarkAblationMergeStrategies(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	region = flow.BuildRegion(region.Arch.Width, region.Arch.W+4)
+	region = flow.Config{}.NewRegion(region.Arch.Width, region.Arch.W+4)
 	b.ResetTimer()
 	var id, wl *flow.DCSResult
 	for i := 0; i < b.N; i++ {
@@ -667,53 +667,18 @@ func BenchmarkRoute(b *testing.B) {
 	})
 }
 
-// BenchmarkGraphBuild measures the routing-resource graph as an artifact:
-// building it from the architecture versus decoding the prebuilt encoding
-// from the persistent store — the work a warm process skips per (side,
-// channel-width) region. The store sub-benchmark reports the measured
-// build/load speed-up and the artifact size.
+// BenchmarkGraphBuild measures building the routing-resource graph of
+// one (side, channel-width) region — the work every new process does per
+// geometry it routes over, since graphs are never stored.
 func BenchmarkGraphBuild(b *testing.B) {
 	const side, w = 12, 10
-	buildStart := time.Now()
-	g := arch.BuildGraph(arch.New(side, side, w))
-	buildDur := time.Since(buildStart)
-	want := g.Checksum()
-
-	b.Run("build", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if arch.BuildGraph(arch.New(side, side, w)).Checksum() != want {
-				b.Fatal("rebuilt graph differs")
-			}
+	want := arch.BuildGraph(arch.New(side, side, w)).Checksum()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if arch.BuildGraph(arch.New(side, side, w)).Checksum() != want {
+			b.Fatal("rebuilt graph differs")
 		}
-	})
-	b.Run("storeload", func(b *testing.B) {
-		st, err := store.Open(b.TempDir(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		key := codec.GraphKey(side, w)
-		if err := st.Put(key, codec.EncodeGraph(g)); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			data, err := st.Get(key)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dec, err := codec.DecodeGraph(data)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if dec.Checksum() != want {
-				b.Fatal("store-loaded graph differs")
-			}
-		}
-		b.ReportMetric(float64(len(codec.EncodeGraph(g))), "artifact-bytes")
-		if per := b.Elapsed() / time.Duration(b.N); per > 0 {
-			b.ReportMetric(float64(buildDur)/float64(per), "build/load-speedup-x")
-		}
-	})
+	}
 }
 
 // BenchmarkPathFinder measures negotiated-congestion routing.

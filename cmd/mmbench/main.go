@@ -17,9 +17,10 @@
 //	        [-cachedir DIR] [-cachemb MB]
 //
 // With -cachedir the sweep runs against a persistent content-addressed
-// artifact store: a warm re-run renders the byte-identical report while
-// skipping every graph build, annealing and routing step, and the
-// end-of-run cache summary on stderr shows exactly what was reused.
+// artifact store: a warm re-run reads every group result back whole and
+// renders the byte-identical report while skipping every graph build,
+// annealing and routing step, and the end-of-run cache summary on stderr
+// shows exactly what was reused.
 package main
 
 import (
@@ -45,7 +46,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	full := flag.Bool("full", false, "paper-scale run (all 30 groups, effort 0.5)")
 	verbose := flag.Bool("v", false, "print per-group details")
-	cachedir := flag.String("cachedir", "", "persistent artifact-store directory: routing-resource graphs, placements and whole group results survive the process, so a re-run of the same sweep skips all graph building, annealing and routing")
+	cachedir := flag.String("cachedir", "", "persistent artifact-store directory: placements and whole group results survive the process, so a re-run of the same sweep reads its group results back and skips all graph building, annealing and routing")
 	cachemb := flag.Int64("cachemb", 0, "artifact-store size cap in MiB (0: uncapped)")
 	remotestore := flag.String("remotestore", "", "base URL of a shared remote artifact store (mmstored); local misses fall through to it and results are pushed back")
 	logjson := flag.Bool("logjson", false, "emit the stderr progress/summary lines as structured JSON logs")

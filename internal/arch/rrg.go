@@ -392,52 +392,6 @@ func BuildGraph(a Arch) *Graph {
 	return g
 }
 
-// RawCSR exposes the flat adjacency arrays (edgeStart offsets, edge
-// targets, per-edge configuration bits) for serialisation. The slices
-// alias the graph's own storage — read-only, like everything else here.
-func (g *Graph) RawCSR() (edgeStart, edgeTo, edgeBit []int32) {
-	return g.edgeStart, g.edgeTo, g.edgeBit
-}
-
-// NewGraphFromRaw reassembles a Graph from its architecture, node list and
-// CSR adjacency arrays — the decoding half of the graph's binary artifact
-// form. The derived state (resource-class bases, coordinate SoA) is
-// recomputed, and the CSR structure is validated so a corrupt encoding
-// can never yield a graph that panics mid-route. The slices are adopted,
-// not copied.
-func NewGraphFromRaw(a Arch, nodes []Node, edgeStart, edgeTo, edgeBit []int32, numRoutingBits int) (*Graph, error) {
-	if want := a.numExpectedNodes(); len(nodes) != want {
-		return nil, fmt.Errorf("arch: %d nodes for a %dx%d W=%d graph, want %d", len(nodes), a.Width, a.Height, a.W, want)
-	}
-	if len(edgeStart) != len(nodes)+1 {
-		return nil, fmt.Errorf("arch: edgeStart has %d offsets for %d nodes", len(edgeStart), len(nodes))
-	}
-	if len(edgeTo) != len(edgeBit) {
-		return nil, fmt.Errorf("arch: %d edge targets but %d edge bits", len(edgeTo), len(edgeBit))
-	}
-	if edgeStart[0] != 0 || int(edgeStart[len(edgeStart)-1]) != len(edgeTo) {
-		return nil, fmt.Errorf("arch: CSR offsets span [%d,%d] over %d edges", edgeStart[0], edgeStart[len(edgeStart)-1], len(edgeTo))
-	}
-	for i := 1; i < len(edgeStart); i++ {
-		if edgeStart[i] < edgeStart[i-1] {
-			return nil, fmt.Errorf("arch: CSR offsets not monotone at node %d", i-1)
-		}
-	}
-	for _, to := range edgeTo {
-		if to < 0 || int(to) >= len(nodes) {
-			return nil, fmt.Errorf("arch: edge target %d out of range", to)
-		}
-	}
-	g := &Graph{
-		Arch: a, Nodes: nodes,
-		edgeStart: edgeStart, edgeTo: edgeTo, edgeBit: edgeBit,
-		NumRoutingBits: numRoutingBits,
-	}
-	g.setBases()
-	g.fillCoordSoA()
-	return g, nil
-}
-
 // TotalConfigBits returns the full configuration size of the region: all
 // routing bits plus all LUT bits (the quantity MDR rewrites on every mode
 // switch).
@@ -447,8 +401,7 @@ func (g *Graph) TotalConfigBits() int {
 
 // Checksum returns a word-folded FNV-1a-style hash over the graph's
 // nodes, adjacency and configuration-bit assignment (one xor-multiply per
-// element, not per byte — this runs on every graph-artifact decode).
-// BuildGraph is deterministic, so two graphs of the same architecture have
+// element, not per byte). BuildGraph is deterministic, so two graphs of the same architecture have
 // equal checksums; comparing a shared graph's checksum against a freshly
 // built one is a cheap immutability check when one graph serves many
 // concurrent routers.

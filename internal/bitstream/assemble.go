@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
-	"repro/internal/logic"
 	"repro/internal/lutnet"
 	"repro/internal/place"
 	"repro/internal/route"
@@ -120,10 +119,4 @@ func ipinAssignments(g *arch.Graph, nets []route.Net, rr *route.Result) (map[pin
 		}
 	}
 	return out, nil
-}
-
-// expandForPins is a helper shared with the DCS assembler: re-express a
-// content table over the physical pins given the logical→physical map.
-func expandForPins(tt logic.TT, k int, varMap []int) logic.TT {
-	return tt.Expand(k, varMap)
 }

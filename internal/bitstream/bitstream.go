@@ -84,14 +84,3 @@ func DiffBits(a, b *Config) (lutDiff, routingDiff int, err error) {
 	}
 	return lutDiff, routingDiff, nil
 }
-
-// OnRoutingBits returns the number of switched-on routing bits.
-func (c *Config) OnRoutingBits() int {
-	n := 0
-	for _, v := range c.Routing {
-		if v {
-			n++
-		}
-	}
-	return n
-}

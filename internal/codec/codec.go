@@ -113,18 +113,6 @@ func (w *Writer) Ints(xs []int) {
 	}
 }
 
-// Int32s appends a length-prefixed []int32 as fixed four-byte big-endian
-// words. Varints would be smaller, but the bulk arrays this exists for
-// (the routing-resource graph's CSR adjacency) are decoded on every warm
-// process start — fixed-width words decode at memory speed, which is what
-// makes loading a graph cheaper than rebuilding it.
-func (w *Writer) Int32s(xs []int32) {
-	w.Uvarint(uint64(len(xs)))
-	for _, x := range xs {
-		w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(x))
-	}
-}
-
 // Reader decodes a Writer encoding. Errors are sticky: after the first
 // malformed read every subsequent read returns a zero value, and Err
 // reports the failure — callers validate once at the end.
@@ -232,20 +220,6 @@ func (r *Reader) Ints() []int {
 	xs := make([]int, n)
 	for i := range xs {
 		xs[i] = r.Int()
-	}
-	return xs
-}
-
-// Int32s decodes a length-prefixed fixed-width []int32.
-func (r *Reader) Int32s() []int32 {
-	n := r.Len(4)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	xs := make([]int32, n)
-	for i := range xs {
-		xs[i] = int32(binary.BigEndian.Uint32(r.buf[r.off:]))
-		r.off += 4
 	}
 	return xs
 }

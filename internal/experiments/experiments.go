@@ -60,10 +60,6 @@ type Scale struct {
 	Cache *flow.Cache
 }
 
-// DefaultScale is a laptop-friendly configuration that preserves the
-// paper's qualitative results.
-func DefaultScale() Scale { return Scale{GroupsPerSuite: 4, Effort: 0.25, Seed: 1} }
-
 // FullScale reproduces the paper's complete sweep (30 multi-mode pairs).
 func FullScale() Scale { return Scale{GroupsPerSuite: 10, Effort: 0.5, Seed: 1} }
 

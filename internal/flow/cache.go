@@ -50,14 +50,15 @@ const memoryCapEntries = 4096
 //     it first.
 //
 // A cache optionally carries a persistent second tier: a content-addressed
-// artifact store (see NewCacheWithStore). Memory misses then consult the
-// store before computing, and computed placements (plus, one layer up,
-// experiments' whole group results) are written back, so warm-path work
-// survives the process. Everything cached is a pure function of its key,
-// so cached and uncached runs produce identical results; a Cache only
-// changes how often the work is done. All methods are safe for concurrent
-// use, and concurrent requests for the same key compute the value exactly
-// once per process.
+// artifact store (see NewCacheWithStore). Placement misses then consult
+// the store before computing, and computed placements (plus, one layer
+// up, experiments' whole group results) are written back, so warm-path
+// work survives the process. Graphs stay in memory: building one costs
+// about as much as decoding a stored copy would. Everything cached is a
+// pure function of its key, so cached and uncached runs produce
+// identical results; a Cache only changes how often the work is done.
+// All methods are safe for concurrent use, and concurrent requests for
+// the same key compute the value exactly once per process.
 type Cache struct {
 	mu     sync.Mutex
 	graphs map[graphKey]*graphEntry
@@ -66,7 +67,6 @@ type Cache struct {
 	store  *store.Store
 
 	graphBuilds, graphHits       atomic.Uint64
-	graphLoads, graphStoreHits   atomic.Uint64
 	placeAnneals, placeHits      atomic.Uint64
 	placeStoreHits               atomic.Uint64
 	artifactHits, artifactMisses atomic.Uint64
@@ -98,8 +98,9 @@ func NewCache() *Cache {
 }
 
 // NewCacheWithStore returns a cache backed by a persistent artifact store:
-// the in-memory tier works exactly as in NewCache, and misses fall through
-// to st before computing. st may be nil, which is equivalent to NewCache.
+// the in-memory tier works exactly as in NewCache, and placement misses
+// fall through to st before computing. st may be nil, which is
+// equivalent to NewCache.
 func NewCacheWithStore(st *store.Store) *Cache {
 	c := NewCache()
 	c.store = st
@@ -116,15 +117,17 @@ func (c *Cache) Store() *store.Store { return c.store }
 // same fields.
 type Stats struct {
 	// GraphBuilds counts routing-resource graphs built; GraphHits counts
-	// requests served by an already-built graph.
+	// requests served by an already-built graph. Graphs live in memory
+	// only: building one costs about as much as loading it would, so a
+	// new process builds every graph it routes over, and a warm process
+	// shows GraphBuilds == 0 only where whole results came from the store
+	// and no flow ran.
 	GraphBuilds uint64 `metric:"mm_cache_graph_builds_total" help:"Routing-resource graphs built."`
 	GraphHits   uint64 `metric:"mm_cache_graph_hits_total" help:"Graph requests served from memory."`
-	// GraphStoreHits counts graph keys for which the artifact store
-	// returned an entry; GraphLoads counts entries that decoded, validated
-	// and were used in place of a build. A warm process shows GraphBuilds
-	// == 0 with every graph served as a load.
-	GraphLoads     uint64 `metric:"mm_cache_graph_loads_total" help:"Graphs decoded from the artifact store."`
-	GraphStoreHits uint64 `metric:"mm_cache_graph_store_hits_total" help:"Graph keys found in the artifact store."`
+	// GraphLoads always reads 0: graphs are never stored, so none is
+	// loaded. The field stays only because the benchmark harness
+	// (bench/mmperf) still reads it; it goes when that read does.
+	GraphLoads uint64 `metric:"mm_cache_graph_loads_total" help:"Always 0: graphs are built in memory, never loaded from the store (kept for the benchmark harness)."`
 	// PlaceAnneals counts actual place.Place executions — the annealing
 	// work a warm cache exists to skip. PlaceHits are memory-tier hits,
 	// PlaceStoreHits are placements decoded from the artifact store.
@@ -159,8 +162,6 @@ func (c *Cache) Stats() Stats {
 	s := Stats{
 		GraphBuilds:    c.graphBuilds.Load(),
 		GraphHits:      c.graphHits.Load(),
-		GraphLoads:     c.graphLoads.Load(),
-		GraphStoreHits: c.graphStoreHits.Load(),
 		PlaceAnneals:   c.placeAnneals.Load(),
 		PlaceHits:      c.placeHits.Load(),
 		PlaceStoreHits: c.placeStoreHits.Load(),
@@ -230,7 +231,8 @@ func (c *Cache) graph(side, w int) *arch.Graph {
 	built := false
 	e.once.Do(func() {
 		built = true
-		g := c.loadOrBuildGraph(side, w)
+		c.graphBuilds.Add(1)
+		g := arch.BuildGraph(arch.New(side, side, w))
 		// Publish under mu so that Graphs — which cannot use once.Do
 		// without racing to mark unbuilt entries done — can read e.g
 		// safely; callers of graph() itself are ordered by once.Do.
@@ -242,35 +244,6 @@ func (c *Cache) graph(side, w int) *arch.Graph {
 		c.graphHits.Add(1)
 	}
 	return e.g
-}
-
-// loadOrBuildGraph serves a graph miss of the in-memory tier: the
-// persistent store (when attached) is consulted for a prebuilt graph
-// first, and only a store miss — or an entry that fails to decode,
-// fails its checksum, or describes a different architecture than the
-// requested geometry implies — falls through to BuildGraph. Built graphs
-// are written back, so a corrupt or stale entry heals itself and warm
-// processes skip the build entirely (GraphBuilds == 0).
-func (c *Cache) loadOrBuildGraph(side, w int) *arch.Graph {
-	var key codec.Hash
-	if c.store != nil {
-		key = codec.GraphKey(side, w)
-		if data, err := c.store.Get(key); err == nil {
-			c.graphStoreHits.Add(1)
-			if g, derr := codec.DecodeGraph(data); derr == nil && g.Arch == arch.New(side, side, w) {
-				c.graphLoads.Add(1)
-				return g
-			}
-		}
-	}
-	c.graphBuilds.Add(1)
-	g := arch.BuildGraph(arch.New(side, side, w))
-	if c.store != nil {
-		// Best effort, like placements: a failed write only costs the
-		// next process a rebuild.
-		_ = c.store.Put(key, codec.EncodeGraph(g))
-	}
-	return g
 }
 
 // Graphs returns the graphs currently held by the cache, for tests and

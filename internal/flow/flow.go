@@ -226,14 +226,6 @@ func SizeRegion(modes []*lutnet.Circuit, cfg Config) (*Region, error) {
 	return region, nil
 }
 
-// BuildRegion constructs a region with an explicit logic-array side and
-// channel width (used when a caller must widen the region, e.g. when the
-// Tunable circuit needs more tracks than the single-mode minimum).
-func BuildRegion(side, w int) *Region {
-	a := arch.New(side, side, w)
-	return &Region{Arch: a, Graph: arch.BuildGraph(a), MinW: w}
-}
-
 // buildGraph builds (or, with a Cache, fetches) the RRG for a side×side
 // region of channel width w.
 func buildGraph(cfg Config, side, w int) *arch.Graph {
@@ -245,11 +237,11 @@ func buildGraph(cfg Config, side, w int) *arch.Graph {
 	return arch.BuildGraph(arch.New(side, side, w))
 }
 
-// NewRegion is BuildRegion routed through the configuration's Cache: the
-// region wrapper is always fresh (its MinW field is per-call state), but
-// with a Cache the graph inside is built once per geometry and shared.
-// Use it wherever a Config is in hand — in particular in widen-and-retry
-// loops, so retries probing the same geometry reuse the graph.
+// NewRegion constructs a region with an explicit logic-array side and
+// channel width. The region wrapper is always fresh (its MinW field is
+// per-call state), but with a Cache the graph inside is built once per
+// geometry and shared — so widen-and-retry loops probing the same
+// geometry reuse the graph. Config{}.NewRegion builds a standalone region.
 func (c Config) NewRegion(side, w int) *Region {
 	g := buildGraph(c, side, w)
 	return &Region{Arch: g.Arch, Graph: g, MinW: w}

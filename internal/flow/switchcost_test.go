@@ -35,7 +35,7 @@ func TestSwitchMatrixStats(t *testing.T) {
 // every off-diagonal entry is the whole region and the matrix is
 // symmetric for any mode count.
 func TestMDRSwitchMatrixSymmetric(t *testing.T) {
-	region := BuildRegion(4, 6)
+	region := Config{}.NewRegion(4, 6)
 	total := region.Graph.TotalConfigBits()
 	for n := 2; n <= 5; n++ {
 		m := MDRSwitchMatrix(region, n)

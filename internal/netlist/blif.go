@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/logic"
@@ -314,14 +313,4 @@ func coverToTT(numIns int, cover [][2]string) (logic.TT, error) {
 		acc = acc.Not()
 	}
 	return acc, nil
-}
-
-// SignalNames returns all node names sorted, primarily for tests.
-func (n *Netlist) SignalNames() []string {
-	names := make([]string, 0, len(n.Nodes))
-	for _, nd := range n.Nodes {
-		names = append(names, nd.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -92,16 +92,6 @@ func (b *Builder) reduce(opName string, sigs []int, op func(x, y logic.TT) logic
 	return cur[0]
 }
 
-// Nand returns NOT (a AND b).
-func (b *Builder) Nand(a, c int) int {
-	return b.N.AddGate(b.autoName("nand"), logic.VarTT(2, 0).And(logic.VarTT(2, 1)).Not(), a, c)
-}
-
-// Nor returns NOT (a OR b).
-func (b *Builder) Nor(a, c int) int {
-	return b.N.AddGate(b.autoName("nor"), logic.VarTT(2, 0).Or(logic.VarTT(2, 1)).Not(), a, c)
-}
-
 // Mux returns sel ? hi : lo.
 func (b *Builder) Mux(sel, lo, hi int) int {
 	s, l, h := logic.VarTT(3, 0), logic.VarTT(3, 1), logic.VarTT(3, 2)
@@ -111,11 +101,6 @@ func (b *Builder) Mux(sel, lo, hi int) int {
 // Latch adds a D flip-flop on d with initial value init.
 func (b *Builder) Latch(d int, init bool) int {
 	return b.N.AddLatch(b.autoName("ff"), d, init)
-}
-
-// NamedLatch adds a D flip-flop with an explicit name.
-func (b *Builder) NamedLatch(name string, d int, init bool) int {
-	return b.N.AddLatch(name, d, init)
 }
 
 // HalfAdder returns (sum, carry) of a+b.

@@ -6,7 +6,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/logic"
 )
@@ -320,12 +319,4 @@ func (n *Netlist) Validate() error {
 		return nil
 	}()
 	return err
-}
-
-// SortedOutputs returns the outputs sorted by name (for deterministic
-// iteration in reports and tests).
-func (n *Netlist) SortedOutputs() []Output {
-	outs := append([]Output(nil), n.Outputs...)
-	sort.Slice(outs, func(i, j int) bool { return outs[i].Name < outs[j].Name })
-	return outs
 }

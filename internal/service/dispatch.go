@@ -45,22 +45,21 @@ import (
 	"repro/internal/obs"
 )
 
+// forwardTimeout bounds one whole forward attempt (connect + compile +
+// response). It is long on purpose: full-effort compiles are slow, and
+// cutting one off only to retry it colder elsewhere helps nobody.
+const forwardTimeout = 30 * time.Minute
+
 // DispatchOptions tunes the dispatcher; the zero value selects every
-// default.
+// default. There is no retry budget: a request tries its candidate
+// backends in rendezvous order, each at most once, before it fails.
 type DispatchOptions struct {
 	// QueueLimit bounds concurrently admitted requests; excess is shed
 	// with 503 + Retry-After. <= 0 selects 256.
 	QueueLimit int
-	// Attempts is the maximum number of backends tried per request
-	// (first attempt + failovers). <= 0 tries every backend once.
-	Attempts int
 	// DialTimeout bounds connection establishment per attempt — the
 	// "is this worker alive at all" stage. <= 0 selects 2s.
 	DialTimeout time.Duration
-	// ForwardTimeout bounds one whole forward attempt (connect + compile
-	// + response). <= 0 selects 30m: full-effort compiles are slow, and
-	// cutting one off only to retry it colder elsewhere helps nobody.
-	ForwardTimeout time.Duration
 	// RetryBaseDelay is the base of the jittered backoff between
 	// attempts (doubled per extra failover, jittered ±50%). <= 0
 	// selects 25ms.
@@ -85,9 +84,6 @@ func (o DispatchOptions) withDefaults() DispatchOptions {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
-	}
-	if o.ForwardTimeout <= 0 {
-		o.ForwardTimeout = 30 * time.Minute
 	}
 	if o.RetryBaseDelay <= 0 {
 		o.RetryBaseDelay = 25 * time.Millisecond
@@ -152,7 +148,7 @@ func NewDispatcher(urls []string, opts DispatchOptions) (*Dispatcher, error) {
 		started: time.Now(),
 		stop:    make(chan struct{}),
 		client: &http.Client{
-			Timeout: opts.ForwardTimeout,
+			Timeout: forwardTimeout,
 			Transport: &http.Transport{
 				DialContext:         (&net.Dialer{Timeout: opts.DialTimeout}).DialContext,
 				MaxIdleConnsPerHost: 128,
@@ -330,11 +326,11 @@ func (d *Dispatcher) handleCompile(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(respBody)
 }
 
-// forward tries the rendezvous order until a backend answers
-// authoritatively. Worker responses — 200, 4xx, 422 — are relayed as-is;
-// transport failures, 503 (worker saturated) and other 5xx mark the
-// backend down for the cooldown and fail over to the next one after a
-// jittered backoff.
+// forward tries the rendezvous order, each candidate once, until a
+// backend answers authoritatively. Worker responses — 200, 4xx, 422 —
+// are relayed as-is; transport failures, 503 (worker saturated) and
+// other 5xx mark the backend down for the cooldown and fail over to the
+// next one after a jittered backoff.
 func (d *Dispatcher) forward(ctx context.Context, key codec.Hash, body []byte) (int, http.Header, []byte, error) {
 	ranked := d.rank(key)
 	now := time.Now()
@@ -350,12 +346,8 @@ func (d *Dispatcher) forward(ctx context.Context, key codec.Hash, body []byte) (
 	if len(candidates) == 0 {
 		candidates = ranked
 	}
-	attempts := d.opts.Attempts
-	if attempts <= 0 || attempts > len(candidates) {
-		attempts = len(candidates)
-	}
 	var lastErr error
-	for i := 0; i < attempts; i++ {
+	for i, b := range candidates {
 		if i > 0 {
 			d.retries.Add(1)
 			// Exponential backoff with ±50% jitter, so synchronized
@@ -369,7 +361,6 @@ func (d *Dispatcher) forward(ctx context.Context, key codec.Hash, body []byte) (
 				return 0, nil, nil, ctx.Err()
 			}
 		}
-		b := candidates[i]
 		status, hdr, respBody, err := d.tryBackend(ctx, b, body)
 		if err == nil && status != http.StatusServiceUnavailable && status/100 != 5 {
 			b.forwards.Add(1)
@@ -395,7 +386,7 @@ func (d *Dispatcher) forward(ctx context.Context, key codec.Hash, body []byte) (
 
 // tryBackend performs one forward attempt.
 func (d *Dispatcher) tryBackend(ctx context.Context, b *backend, body []byte) (int, http.Header, []byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, d.opts.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/compile", bytes.NewReader(body))
 	if err != nil {

@@ -48,7 +48,7 @@ const blobPath = "/blob/"
 const sumHeader = "X-Mm-Sum"
 
 // maxBlobBytes bounds a single artifact transfer in either direction.
-// Whole compile results and RRG graphs are a few MB at most; the cap only
+// Whole compile results are a few MB at most; the cap only
 // exists so a confused peer cannot make a worker buffer gigabytes.
 const maxBlobBytes = 256 << 20
 

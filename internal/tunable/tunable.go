@@ -44,17 +44,6 @@ type TLUT struct {
 	PerMode []*LUTContent // indexed by mode; nil when inactive
 }
 
-// Active returns the set of modes this TLUT implements.
-func (t *TLUT) Active() mode.Set {
-	var s mode.Set
-	for m, c := range t.PerMode {
-		if c != nil {
-			s = s.With(m)
-		}
-	}
-	return s
-}
-
 // PadContent is the realisation of one mode on a Tunable pad.
 type PadContent struct {
 	Name    string
@@ -67,17 +56,6 @@ type PadContent struct {
 type TPad struct {
 	Name    string
 	PerMode []*PadContent
-}
-
-// Active returns the set of modes this pad is used in.
-func (t *TPad) Active() mode.Set {
-	var s mode.Set
-	for m, c := range t.PerMode {
-		if c != nil {
-			s = s.With(m)
-		}
-	}
-	return s
 }
 
 // Conn is a Tunable connection: a (source, sink) pair annotated with the

@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -34,6 +35,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/synth"
 	"repro/internal/techmap"
+	"repro/internal/troute"
 )
 
 // benchConfig is the reduced-effort configuration used by the benchmarks.
@@ -665,6 +667,74 @@ func BenchmarkRoute(b *testing.B) {
 			b.ReportMetric(float64(per)/float64(serialPer), "obs-overhead-x")
 		}
 	})
+}
+
+// BenchmarkTRoute is the TRoute scoreboard: the paper's router on the
+// TPlace'd tunable circuit of a real group (the web-cgi-phf and
+// shellcode-nop RegExp engines, effort 0.2, seed 1, edge-match, as the
+// cold ladder places it), at the sized channel width, where ladder
+// attempt 0 fails after its full iteration budget, and two tracks wider,
+// where attempt 1 wins. Its work counters are exact and independent of
+// the machine, so they are the numbers a router change is judged by.
+func BenchmarkTRoute(b *testing.B) {
+	cfg := flow.Config{PlaceEffort: 0.2, Seed: 1}
+	rules := regexgen.BleedingEdgeRules()
+	var nls []*netlist.Netlist
+	for _, r := range rules[:2] {
+		n, err := regexgen.Generate(r.Name, r.Pattern, regexgen.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nls = append(nls, n)
+	}
+	modes, err := flow.MapModes(nls, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sized, err := flow.SizeRegion(modes, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mres, err := merge.CombinedPlace("scoreboard", modes, sized.Arch,
+		merge.Options{Seed: cfg.Seed, Effort: cfg.PlaceEffort, Objective: merge.EdgeMatch})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lutSites, padSites, _, err := flow.TPlace(mres.Tunable, sized.Arch, cfg, mres.LUTSite, mres.PadSite)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The cold ladder's router settings (flow.Config defaults).
+	opt := route.Options{MaxIters: 90, PresFacMult: 1.4}
+	for _, bc := range []struct {
+		name string
+		w    int
+		wins bool
+	}{
+		{"attempt0-fails", sized.Arch.W, false},
+		{"attempt1-wins", sized.Arch.W + 2, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := cfg.NewRegion(sized.Arch.Width, bc.w).Graph
+			var st route.Stats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := troute.RouteTunable(g, mres.Tunable, lutSites, padSites, opt)
+				var un *route.ErrUnroutable
+				switch {
+				case err == nil && bc.wins:
+					st = res.Route.Stats
+				case errors.As(err, &un) && !bc.wins:
+					st = un.Stats
+				default:
+					b.Fatalf("W=%d: routed %v, want %v (err %v)", bc.w, err == nil, bc.wins, err)
+				}
+			}
+			b.ReportMetric(float64(st.HeapPushes), "heap-pushes")
+			b.ReportMetric(float64(st.NodesVisited), "nodes-visited")
+			b.ReportMetric(float64(st.Iterations), "iterations")
+		})
+	}
 }
 
 // BenchmarkGraphBuild measures building the routing-resource graph of

@@ -687,7 +687,9 @@ func (r *router) run() (*Result, error) {
 			}
 		}
 	}
-	return nil, &ErrUnroutable{Overused: overused, Iters: r.stats.Iterations, Detail: detail}
+	r.stats.HeapPushes = r.search.heapPushes
+	r.stats.NodesVisited = r.search.nodesVisited
+	return nil, &ErrUnroutable{Overused: overused, Iters: r.stats.Iterations, Detail: detail, Stats: r.stats}
 }
 
 // markDirty schedules the next iteration's reroute set: every connection

@@ -215,6 +215,8 @@ type ErrUnroutable struct {
 	Overused int
 	Iters    int
 	Detail   string // description of a few overused nodes
+	// Stats is the work the failed route did before giving up.
+	Stats Stats
 }
 
 func (e *ErrUnroutable) Error() string {

@@ -39,7 +39,8 @@ type Server struct {
 	admitted atomic.Int64
 
 	// ids turns request bodies into RequestKeys, from their digest when
-	// the same bytes were identified before.
+	// the same bytes were identified before, and remembers the results
+	// of digests served from the store.
 	ids keyMemo
 
 	mu       sync.Mutex
@@ -47,7 +48,7 @@ type Server struct {
 
 	started time.Time
 
-	requests, keyMemoHits, deduped, compiles, failures, shed atomic.Uint64
+	requests, keyMemoHits, resultMemoHits, deduped, compiles, failures, shed atomic.Uint64
 
 	// Observability (all nil/zero when Instrument was never called; every
 	// use is nil-safe, so the uninstrumented server pays nothing).
@@ -228,12 +229,18 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.inflightGauge.Add(1)
 	defer s.inflightGauge.Add(-1)
 
-	// digest → store → dedup → compile: a stored result is served before
-	// anything else, and only a store miss, which must compile, needs the
-	// parsed modes.
+	// digest → remembered result → store → dedup → compile: a result
+	// this process already served from the store is answered from
+	// memory, a stored one is served before anything else, and only a
+	// store miss, which must compile, needs the parsed modes.
 	run := startRun(Env{Cache: s.cache, Obs: s.reg})
 	run.key = b.key
-	if res := run.warm(); res != nil {
+	if res, size := run.warm(b.res); res != nil {
+		if b.res != nil {
+			s.resultMemoHits.Add(1)
+		} else {
+			s.ids.remember(b, res, size)
+		}
 		s.compiles.Add(1)
 		s.observeCompile("warm", start)
 		s.respond(w, res, nil)
@@ -357,13 +364,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // StatsSnapshot is the /stats document. Its metric-tagged fields, and
 // those of the nested flow.Stats, are also its /metrics families.
 type StatsSnapshot struct {
-	UptimeSeconds int64  `json:"uptime_seconds" metric:"mm_uptime_seconds" help:"Seconds since the server started."`
-	Workers       int    `json:"workers" metric:"mm_compile_workers" help:"Size of the compile worker pool."`
-	Requests      uint64 `json:"requests" metric:"mm_requests_total" help:"Compile requests accepted."`
-	KeyMemoHits   uint64 `json:"key_memo_hits" metric:"mm_requests_key_memo_hits_total" help:"Requests identified from the digest of a body seen before, without parsing it."`
-	Deduped       uint64 `json:"deduped" metric:"mm_requests_deduped_total" help:"Requests joined to an identical in-flight compile."`
-	Compiles      uint64 `json:"compiles" metric:"mm_compiles_total" help:"Compiles run or served warm from the result store (deduplicated joiners excluded)."`
-	Failures      uint64 `json:"failures" metric:"mm_compile_failures_total" help:"Compiles that returned an error."`
+	UptimeSeconds  int64  `json:"uptime_seconds" metric:"mm_uptime_seconds" help:"Seconds since the server started."`
+	Workers        int    `json:"workers" metric:"mm_compile_workers" help:"Size of the compile worker pool."`
+	Requests       uint64 `json:"requests" metric:"mm_requests_total" help:"Compile requests accepted."`
+	KeyMemoHits    uint64 `json:"key_memo_hits" metric:"mm_requests_key_memo_hits_total" help:"Requests identified from the digest of a body seen before, without parsing it."`
+	ResultMemoHits uint64 `json:"result_memo_hits" metric:"mm_requests_result_memo_hits_total" help:"Requests answered with a result remembered from an earlier warm store hit, without reading the store."`
+	Deduped        uint64 `json:"deduped" metric:"mm_requests_deduped_total" help:"Requests joined to an identical in-flight compile."`
+	Compiles       uint64 `json:"compiles" metric:"mm_compiles_total" help:"Compiles run or served warm from the result store (deduplicated joiners excluded)."`
+	Failures       uint64 `json:"failures" metric:"mm_compile_failures_total" help:"Compiles that returned an error."`
 	// Shed counts requests refused with 503 by admission control;
 	// Admitted and QueueLimit describe the queue right now (QueueLimit 0
 	// = shedding disabled).
@@ -382,17 +390,18 @@ func (s *Server) Stats() StatsSnapshot {
 	inflight := len(s.inflight)
 	s.mu.Unlock()
 	snap := StatsSnapshot{
-		UptimeSeconds: int64(time.Since(s.started).Seconds()),
-		Workers:       s.workers,
-		Requests:      s.requests.Load(),
-		KeyMemoHits:   s.keyMemoHits.Load(),
-		Deduped:       s.deduped.Load(),
-		Compiles:      s.compiles.Load(),
-		Failures:      s.failures.Load(),
-		Shed:          s.shed.Load(),
-		Admitted:      s.admitted.Load(),
-		QueueLimit:    s.admissionLimit(),
-		Inflight:      inflight,
+		UptimeSeconds:  int64(time.Since(s.started).Seconds()),
+		Workers:        s.workers,
+		Requests:       s.requests.Load(),
+		KeyMemoHits:    s.keyMemoHits.Load(),
+		ResultMemoHits: s.resultMemoHits.Load(),
+		Deduped:        s.deduped.Load(),
+		Compiles:       s.compiles.Load(),
+		Failures:       s.failures.Load(),
+		Shed:           s.shed.Load(),
+		Admitted:       s.admitted.Load(),
+		QueueLimit:     s.admissionLimit(),
+		Inflight:       inflight,
 	}
 	if s.cache != nil {
 		snap.Cache = s.cache.Stats()

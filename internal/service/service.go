@@ -312,7 +312,7 @@ func CompileNetlistsEnv(nls []*netlist.Netlist, req *CompileRequest, env Env) (*
 	}
 	run := startRun(env)
 	run.key = RequestKey(nls, req)
-	if res := run.warm(); res != nil {
+	if res, _ := run.warm(nil); res != nil {
 		return res, nil, nil
 	}
 	return run.compile(nls, req)
@@ -348,22 +348,33 @@ func (run *compileRun) persistent() bool {
 // returns the result stored under the run's key with an artifact-load
 // timing, or nil when there is none (no persistent store, a miss, or an
 // undecodable or incomplete entry, which the compile then overwrites).
-func (run *compileRun) warm() *Result {
+// remembered, when non-nil, is a result an earlier warm hit of this
+// process decoded for the same key: it is served without reading the
+// store, and never modified, since the reply is a shallow copy carrying
+// this run's timings. size is the stored entry's size when the result
+// was read from the store, 0 otherwise.
+func (run *compileRun) warm(remembered *Result) (res *Result, size int) {
 	if !run.persistent() {
-		return nil
+		return nil, 0
 	}
 	sp := run.tr.Start("artifact-load")
-	data, ok := run.env.Cache.GetArtifact(resultKey(run.key))
-	var res Result
-	ok = ok && json.Unmarshal(data, &res) == nil && res.Error == "" && res.Region != nil
+	shared := remembered
+	if shared == nil {
+		data, ok := run.env.Cache.GetArtifact(resultKey(run.key))
+		var stored Result
+		if ok && json.Unmarshal(data, &stored) == nil && stored.Error == "" && stored.Region != nil {
+			shared, size = &stored, len(data)
+		}
+	}
 	sp.End()
-	if !ok {
-		return nil
+	if shared == nil {
+		return nil, 0
 	}
 	run.root.SetLabel("path", "warm")
 	run.root.End()
-	res.Timings = run.tr.Stages()
-	return &res
+	out := *shared
+	out.Timings = run.tr.Stages()
+	return &out, size
 }
 
 // compile runs the flow for the run's request, whose parsed modes are

@@ -46,7 +46,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	full := flag.Bool("full", false, "paper-scale run (all 30 groups, effort 0.5)")
 	verbose := flag.Bool("v", false, "print per-group details")
-	cachedir := flag.String("cachedir", "", "persistent artifact-store directory: placements and whole group results survive the process, so a re-run of the same sweep reads its group results back and skips all graph building, annealing and routing")
+	cachedir := flag.String("cachedir", "", "persistent artifact-store directory: whole group results survive the process, so a re-run of the same sweep reads its group results back and skips all graph building, annealing and routing (the ablation experiments store nothing and recompute)")
 	cachemb := flag.Int64("cachemb", 0, "artifact-store size cap in MiB (0: uncapped)")
 	remotestore := flag.String("remotestore", "", "base URL of a shared remote artifact store (mmstored); local misses fall through to it and results are pushed back")
 	logjson := flag.Bool("logjson", false, "emit the stderr progress/summary lines as structured JSON logs")
@@ -82,9 +82,10 @@ func main() {
 		})
 	}
 	// One cache for the whole invocation: the figure sweep, the area pass
-	// and the ablations reuse each other's graphs and placements. With
-	// -cachedir the cache gains a persistent tier — the second identical
-	// invocation serves every group result straight from the store.
+	// and the ablations reuse each other's graphs and placements in
+	// memory. With -cachedir the cache gains a persistent tier — the
+	// second identical invocation serves every group result straight from
+	// the store.
 	if *cachedir == "" && *remotestore != "" {
 		// The remote tier write-through needs a local store to land in.
 		tmp, err := os.MkdirTemp("", "mmbench-cache-")

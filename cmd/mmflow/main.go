@@ -13,7 +13,8 @@
 // mmserved exposes over HTTP. -remote URL submits the modes to a running
 // mmserved instead of compiling locally (same request, same response
 // schema), and -cachedir backs the local run with a persistent artifact
-// store so placements computed today are reused tomorrow.
+// store so a result compiled today is read back whole tomorrow, and its
+// baseline serves a later -baseline delta compile.
 //
 // Usage:
 //
@@ -47,7 +48,7 @@ func main() {
 	starts := flag.Int("starts", 1, "independently seeded anneals per placement, best kept (changes results)")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout")
 	verbose := flag.Bool("v", false, "print per-connection activation functions (local runs only)")
-	cachedir := flag.String("cachedir", "", "persistent artifact-store directory for placements (local runs)")
+	cachedir := flag.String("cachedir", "", "persistent artifact-store directory for whole compile results and their ECO baselines (local runs)")
 	baseline := flag.String("baseline", "", "baseline key of a prior compile (needs -cachedir): recompile as an ECO delta, falling back to a cold compile if the baseline is unusable")
 	remote := flag.String("remote", "", "delegate compilation to a running mmserved (e.g. http://localhost:8433)")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the flow stages to this file (local runs only; open with chrome://tracing or Perfetto)")

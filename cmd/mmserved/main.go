@@ -55,7 +55,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8433", "listen address")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "maximum concurrent compile executions")
-	cachedir := flag.String("cachedir", "", "persistent artifact-store directory for placements and compile results (empty: in-memory cache only, or a temporary directory with -remotestore)")
+	cachedir := flag.String("cachedir", "", "persistent artifact-store directory for compile results and their ECO baselines (empty: in-memory cache only, or a temporary directory with -remotestore)")
 	cachemb := flag.Int64("cachemb", 0, "artifact-store size cap in MiB (0: uncapped)")
 	remotestore := flag.String("remotestore", "", "base URL of a shared remote artifact store (mmstored); local misses fall through to it and local results are pushed back")
 	queue := flag.Int("queue", 0, "admission queue depth beyond the worker pool; excess requests are shed with 503 + Retry-After (0: unbounded)")

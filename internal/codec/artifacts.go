@@ -7,9 +7,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/lutnet"
 	"repro/internal/netlist"
-	"repro/internal/place"
-
-	"repro/internal/arch"
 )
 
 // Artifact kinds and format versions. A version covers both the byte
@@ -19,18 +16,8 @@ import (
 const (
 	KindNetlist    = "netlist"
 	KindCircuit    = "circuit"
-	KindPlacement  = "placement"
 	NetlistVersion = 1
 	CircuitVersion = 1
-	// PlacementVersion also stands in for the annealer's semantics: a
-	// change to place.Place's trajectory for a given (problem, seed,
-	// effort) must bump it.
-	//
-	// v2: the annealing kernel moved to the batched parallel-move
-	// protocol (one acceptance uniform per proposal, drawn at propose
-	// time), changing same-seed trajectories; placements additionally
-	// depend on the multi-start count.
-	PlacementVersion = 2
 )
 
 // Header opens an artifact encoding with its kind tag and format version.
@@ -208,48 +195,3 @@ func DecodeNetlist(data []byte) (*netlist.Netlist, error) {
 // request deduplication on these, so textual BLIF variations of the same
 // network collapse to one identity).
 func HashNetlist(n *netlist.Netlist) Hash { return Sum(EncodeNetlist(n)) }
-
-// EncodePlacement renders a placement artifact: the site assignment and
-// cost, stamped with the cell-partition counts of the circuit it places
-// so a store hit can verify it matches the circuit in hand.
-func EncodePlacement(pl *place.Placement, cc place.CircuitCells) []byte {
-	w := NewWriter()
-	w.Header(KindPlacement, PlacementVersion)
-	w.Int(cc.NumBlk)
-	w.Int(cc.NumPI)
-	w.Int(cc.NumPO)
-	w.Float64(pl.Cost)
-	w.Uvarint(uint64(len(pl.SiteOf)))
-	for _, s := range pl.SiteOf {
-		w.Int(s.X)
-		w.Int(s.Y)
-		w.Int(s.Sub)
-		w.Bool(s.IsIO)
-	}
-	return w.Bytes()
-}
-
-// DecodePlacement is the inverse of EncodePlacement. The returned
-// CircuitCells carries only the counts; the caller re-attaches the
-// circuit after checking the counts match it.
-func DecodePlacement(data []byte) (*place.Placement, place.CircuitCells, error) {
-	r := NewReader(data)
-	r.Header(KindPlacement, PlacementVersion)
-	cc := place.CircuitCells{NumBlk: r.Int(), NumPI: r.Int(), NumPO: r.Int()}
-	pl := &place.Placement{Cost: r.Float64()}
-	n := r.Len(4)
-	pl.SiteOf = make([]arch.Site, 0, n)
-	for i := 0; i < n; i++ {
-		s := arch.Site{X: r.Int(), Y: r.Int(), Sub: r.Int()}
-		s.IsIO = r.Bool()
-		pl.SiteOf = append(pl.SiteOf, s)
-	}
-	if err := r.Err(); err != nil {
-		return nil, place.CircuitCells{}, err
-	}
-	if len(pl.SiteOf) != cc.NumBlk+cc.NumPI+cc.NumPO {
-		return nil, place.CircuitCells{}, fmt.Errorf("codec: placement has %d sites for %d cells",
-			len(pl.SiteOf), cc.NumBlk+cc.NumPI+cc.NumPO)
-	}
-	return pl, cc, nil
-}

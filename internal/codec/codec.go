@@ -1,9 +1,8 @@
 // Package codec provides the deterministic, versioned binary encoding
-// behind the persistent artifact store: every cacheable product of the
-// flow (netlists, mapped circuits, placements, group results) encodes to
-// a canonical byte string, and the SHA-256 of a canonical encoding is the
-// product's *content hash* — the identity used as a cache key within and
-// across processes. Two structurally equal values always produce the same
+// behind the persistent artifact store's keys: netlists and mapped
+// circuits encode to a canonical byte string, and the SHA-256 of a
+// canonical encoding is the product's *content hash* — the identity used
+// as a cache key within and across processes. Two structurally equal values always produce the same
 // bytes and therefore the same hash, so a cache keyed by content hash
 // deduplicates work wherever the same inputs recur, regardless of which
 // process (or machine) computed them first.
@@ -16,10 +15,9 @@
 // algorithm changes — the version is part of the hash, so a bump silently
 // invalidates every stale on-disk entry.
 //
-// The primitives (Writer, Reader) are exported so higher layers whose
-// types cannot be imported here without a cycle (experiments.GroupResult
-// sits above flow, which imports codec) build their encoders from the
-// same vocabulary.
+// The primitives (Writer, Reader) are exported so higher layers derive
+// their store keys (group results, compile results, ECO baselines) and,
+// for the baseline, its payload from the same vocabulary.
 package codec
 
 import (

@@ -3,16 +3,13 @@ package codec
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
-	"repro/internal/arch"
 	"repro/internal/logic"
 	"repro/internal/lutnet"
 	"repro/internal/netlist"
-	"repro/internal/place"
 	"repro/internal/synth"
 	"repro/internal/techmap"
 )
@@ -116,52 +113,6 @@ func TestHashIdentity(t *testing.T) {
 	}
 }
 
-func TestPlacementRoundTrip(t *testing.T) {
-	c := testCircuit(t, 9)
-	side := arch.MinGridForBlocks(c.NumBlocks(), c.NumPIs()+len(c.POs), 1.2)
-	a := arch.New(side, side, 6)
-	prob, cc := place.FromCircuit(c)
-	pl, err := place.Place(prob, a, place.Options{Seed: 1, Effort: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotCC, err := DecodePlacement(EncodePlacement(pl, cc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, pl) {
-		t.Fatal("decoded placement differs")
-	}
-	if gotCC.NumBlk != cc.NumBlk || gotCC.NumPI != cc.NumPI || gotCC.NumPO != cc.NumPO {
-		t.Fatalf("decoded cell counts differ: %+v vs %+v", gotCC, cc)
-	}
-}
-
-// FuzzDecodePlacement hardens the placement decoder, which reads bytes
-// from the artifact store and the remote tier: it must never panic, and
-// every placement it accepts must encode to bytes that decode back to
-// the same placement, cost bits included. Its seeds, under
-// testdata/fuzz/FuzzDecodePlacement, are the encodings of
-// TestPlacementRoundTrip's placement, of an empty placement and of
-// TestVersionMismatch's future-version artifact; plain go test replays
-// them. Explore further with
-// go test -run '^$' -fuzz FuzzDecodePlacement ./internal/codec.
-func FuzzDecodePlacement(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		pl, cc, err := DecodePlacement(data)
-		if err != nil {
-			return
-		}
-		got, gotCC, err := DecodePlacement(EncodePlacement(pl, cc))
-		if err != nil {
-			t.Fatalf("re-encoded placement does not decode: %v", err)
-		}
-		if math.Float64bits(got.Cost) != math.Float64bits(pl.Cost) || !reflect.DeepEqual(got.SiteOf, pl.SiteOf) || gotCC != cc {
-			t.Fatalf("placement did not round-trip: %+v %+v, then %+v %+v", pl, cc, got, gotCC)
-		}
-	})
-}
-
 // FuzzDecodeNetlist hardens the netlist decoder: it must never panic,
 // and every netlist it accepts must encode to bytes that decode and
 // re-encode to the same bytes. Its seeds, under
@@ -237,17 +188,24 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestVersionMismatch: an artifact from another format version must be
-// rejected (the store treats it as a miss and recomputes).
+// rejected (the store treats it as a miss and recomputes), while the
+// same body under the current version decodes.
 func TestVersionMismatch(t *testing.T) {
-	w := NewWriter()
-	w.Header(KindPlacement, PlacementVersion+1)
-	w.Int(0)
-	w.Int(0)
-	w.Int(0)
-	w.Float64(0)
-	w.Uvarint(0)
-	if _, _, err := DecodePlacement(w.Bytes()); err == nil {
-		t.Fatal("future-version placement decoded without error")
+	emptyCircuit := func(version int) []byte {
+		w := NewWriter()
+		w.Header(KindCircuit, version)
+		w.String("c")
+		w.Int(4)
+		w.Uvarint(0) // PIs
+		w.Uvarint(0) // blocks
+		w.Uvarint(0) // POs
+		return w.Bytes()
+	}
+	if _, err := DecodeCircuit(emptyCircuit(CircuitVersion)); err != nil {
+		t.Fatalf("current-version circuit rejected: %v", err)
+	}
+	if _, err := DecodeCircuit(emptyCircuit(CircuitVersion + 1)); err == nil {
+		t.Fatal("future-version circuit decoded without error")
 	}
 }
 

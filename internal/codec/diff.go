@@ -1,9 +1,6 @@
 package codec
 
-import (
-	"repro/internal/lutnet"
-	"repro/internal/netlist"
-)
+import "repro/internal/lutnet"
 
 // Structural diffing gives cells *stable identities across edits*: a cell's
 // signature is derived from its function and its neighborhood (fanin cone
@@ -244,43 +241,4 @@ func nameMap(old, new []string) []int {
 		}
 	}
 	return m
-}
-
-// netlistSigs builds signatures over every node of a pre-mapping netlist.
-func netlistSigs(n *netlist.Netlist) []uint64 {
-	g := &sigGraph{
-		init:  make([]uint64, len(n.Nodes)),
-		fanin: make([][]int32, len(n.Nodes)),
-	}
-	for i, nd := range n.Nodes {
-		switch nd.Kind {
-		case netlist.KindInput:
-			g.init[i] = fnvString(fnvMix(fnvOffset, 1), nd.Name)
-		case netlist.KindGate:
-			h := fnvMix(fnvOffset, 2)
-			h = fnvMix(h, uint64(nd.Func.NumVars))
-			g.init[i] = fnvMix(h, nd.Func.Bits)
-		case netlist.KindLatch:
-			h := fnvMix(fnvOffset, 3)
-			if nd.Init {
-				h = fnvMix(h, 4)
-			}
-			g.init[i] = h
-		}
-		ins := make([]int32, len(nd.Fanins))
-		for pin, f := range nd.Fanins {
-			ins[pin] = int32(f)
-		}
-		g.fanin[i] = ins
-	}
-	return g.signatures()
-}
-
-// DiffNetlists matches the nodes of an edited netlist against a baseline
-// version (all node kinds participate; inputs anchor by name).
-func DiffNetlists(old, new *netlist.Netlist) *Diff {
-	d := matchCells(netlistSigs(old), netlistSigs(new),
-		func(i int) string { return old.Nodes[i].Name },
-		func(i int) string { return new.Nodes[i].Name })
-	return &d
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/lutnet"
-	"repro/internal/netlist"
 )
 
 // randCircuit builds a seeded random acyclic LUT circuit with distinct
@@ -225,20 +224,4 @@ func identityPerm(n int) []int {
 		p[i] = i
 	}
 	return p
-}
-
-func TestDiffNetlistsIdentity(t *testing.T) {
-	n := netlist.New("t")
-	a := n.AddInput("a")
-	b := n.AddInput("b")
-	g1 := n.AddGate("g1", logic.NewTT(2, 0b1000), a, b)
-	l := n.AddLatch("l", g1, false)
-	g2 := n.AddGate("g2", logic.NewTT(2, 0b0110), l, a)
-	n.AddOutput("o", g2)
-
-	d := DiffNetlists(n, n)
-	if len(d.Unchanged) != len(n.Nodes) || len(d.Changed)+len(d.Added)+len(d.Removed) != 0 {
-		t.Fatalf("diff(x,x) over netlist not all-Unchanged: %+v", d)
-	}
-	checkPartition(t, d, len(n.Nodes), len(n.Nodes))
 }

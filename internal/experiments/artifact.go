@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/codec"
@@ -8,17 +9,15 @@ import (
 	"repro/internal/lutnet"
 )
 
-// Group results are the top-level artifact of the persistence subsystem:
-// one entry is a whole benchmark × group evaluation — region sizing, the
-// MDR baseline and both DCS objectives — so a warm store turns the
-// dominant cost of a sweep (annealing and routing every group) into one
-// read and a decode. The encoder lives here rather than in internal/codec
-// because GroupResult sits above flow in the import DAG (experiments →
-// flow → codec); it is built from the same codec primitives and follows
-// the same versioned-header contract.
+// Group results are the top-level artifact of a sweep: one entry is a
+// whole benchmark × group evaluation — region sizing, the MDR baseline
+// and both DCS objectives — so a warm store turns the dominant cost of a
+// sweep (annealing and routing every group) into one read and a decode.
+// The payload is the GroupResult's JSON, the encoding the service uses
+// for its compile results.
 const (
 	kindGroupResult = "group-result"
-	// groupResultVersion covers the encoding below AND the semantics of
+	// groupResultVersion covers the payload format AND the semantics of
 	// everything RunGroup executes (flow.RunComparison, the switch-cost
 	// matrices, region sizing). Bump it whenever either changes: the
 	// version is hashed into the key, so a bump orphans stale entries
@@ -30,7 +29,10 @@ const (
 	//
 	// v3: the batched parallel-move annealing kernel (placement
 	// trajectories changed) and the multi-start count in the key.
-	groupResultVersion = 3
+	//
+	// v4: the payload is JSON instead of a hand-written binary encoding
+	// (results unchanged).
+	groupResultVersion = 4
 )
 
 // groupResultKey derives the content-addressed store key of one group
@@ -57,101 +59,15 @@ func groupResultKey(c *flow.Cache, name string, modes []*lutnet.Circuit, sc Scal
 	return w.Sum()
 }
 
-func encodeMatrix(w *codec.Writer, m flow.SwitchMatrix) {
-	w.Bool(m != nil)
-	if m == nil {
-		return
-	}
-	w.Uvarint(uint64(len(m)))
-	for _, row := range m {
-		w.Ints(row)
-	}
-}
-
-func decodeMatrix(r *codec.Reader) flow.SwitchMatrix {
-	if !r.Bool() {
-		return nil
-	}
-	n := r.Len(1)
-	m := make(flow.SwitchMatrix, 0, n)
-	for i := 0; i < n; i++ {
-		m = append(m, r.Ints())
-	}
-	return m
-}
-
-// encodeGroupResult renders the canonical encoding of a group evaluation.
-func encodeGroupResult(res *GroupResult) []byte {
-	w := codec.NewWriter()
-	w.Header(kindGroupResult, groupResultVersion)
-	w.String(res.Suite)
-	w.String(res.Name)
-	w.Ints(res.ModeLUTs)
-	w.Int(res.Side)
-	w.Int(res.MinW)
-	w.Int(res.ChannelW)
-	w.Int(res.MDRBits)
-	w.Int(res.DiffBits)
-	w.Int(res.EMBits)
-	w.Int(res.WLBits)
-	w.Int(res.LUTBitsTotal)
-	w.Int(res.MDRRoutingBits)
-	w.Int(res.DiffRoutingBits)
-	w.Int(res.EMRoutingBits)
-	w.Int(res.WLRoutingBits)
-	w.Float64(res.SpeedupEM)
-	w.Float64(res.SpeedupWL)
-	w.Float64(res.WireMDR)
-	w.Float64(res.WireEM)
-	w.Float64(res.WireWL)
-	encodeMatrix(w, res.MDRSwitch)
-	encodeMatrix(w, res.DiffSwitch)
-	encodeMatrix(w, res.DCSSwitch)
-	w.Int(res.RouteIters)
-	w.Int(res.RerouteConns)
-	w.Int(res.PeakOveruse)
-	return w.Bytes()
-}
-
-// decodeGroupResult is the inverse of encodeGroupResult. Any malformation
-// (including a version mismatch) returns an error and the caller falls
-// back to recomputing the group.
+// decodeGroupResult reads a stored group result. Any malformation returns
+// an error and the caller falls back to recomputing the group.
 func decodeGroupResult(data []byte) (*GroupResult, error) {
-	r := codec.NewReader(data)
-	r.Header(kindGroupResult, groupResultVersion)
-	res := &GroupResult{
-		Suite:           r.String(),
-		Name:            r.String(),
-		ModeLUTs:        r.Ints(),
-		Side:            r.Int(),
-		MinW:            r.Int(),
-		ChannelW:        r.Int(),
-		MDRBits:         r.Int(),
-		DiffBits:        r.Int(),
-		EMBits:          r.Int(),
-		WLBits:          r.Int(),
-		LUTBitsTotal:    r.Int(),
-		MDRRoutingBits:  r.Int(),
-		DiffRoutingBits: r.Int(),
-		EMRoutingBits:   r.Int(),
-		WLRoutingBits:   r.Int(),
-		SpeedupEM:       r.Float64(),
-		SpeedupWL:       r.Float64(),
-		WireMDR:         r.Float64(),
-		WireEM:          r.Float64(),
-		WireWL:          r.Float64(),
-	}
-	res.MDRSwitch = decodeMatrix(r)
-	res.DiffSwitch = decodeMatrix(r)
-	res.DCSSwitch = decodeMatrix(r)
-	res.RouteIters = r.Int()
-	res.RerouteConns = r.Int()
-	res.PeakOveruse = r.Int()
-	if err := r.Err(); err != nil {
+	var res GroupResult
+	if err := json.Unmarshal(data, &res); err != nil {
 		return nil, err
 	}
 	if len(res.ModeLUTs) < 2 {
-		return nil, fmt.Errorf("experiments: decoded group result has %d modes", len(res.ModeLUTs))
+		return nil, fmt.Errorf("experiments: stored group result has %d modes", len(res.ModeLUTs))
 	}
-	return res, nil
+	return &res, nil
 }

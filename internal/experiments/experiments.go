@@ -18,6 +18,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -449,7 +450,9 @@ func RunGroup(suite *Suite, group []int, sc Scale) (*GroupResult, error) {
 	sum.Add(wl.TRoute.Route.Stats)
 	res.RouteIters, res.RerouteConns, res.PeakOveruse = sum.Iterations, sum.Rerouted, sum.PeakOveruse
 	if persistent {
-		sc.Cache.PutArtifact(key, encodeGroupResult(res))
+		if data, err := json.Marshal(res); err == nil {
+			sc.Cache.PutArtifact(key, data)
+		}
 	}
 	return res, nil
 }

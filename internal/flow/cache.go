@@ -27,11 +27,10 @@ const placementChannelWidth = 4
 // never approaches it, but a long-running mmserved accumulates entries
 // (and the hashes map pins every requested circuit) for the process
 // lifetime; past the cap the maps are flushed wholesale. Flushing is
-// always sound — at worst the next request recomputes or re-reads the
-// persistent store — so the coarse policy buys a bounded footprint
-// without per-entry LRU bookkeeping. In-flight computations are
-// unaffected: waiters hold their entry pointer, and a re-request simply
-// creates a fresh entry.
+// always sound — at worst the next request recomputes — so the coarse
+// policy buys a bounded footprint without per-entry LRU bookkeeping.
+// In-flight computations are unaffected: waiters hold their entry
+// pointer, and a re-request simply creates a fresh entry.
 const memoryCapEntries = 4096
 
 // Cache memoizes the expensive, deterministic intermediate products of the
@@ -46,19 +45,17 @@ const memoryCapEntries = 4096
 //     computed for the first bisection probe is reused by every later
 //     probe and by the final MDR implementation on the sized region. The
 //     key is the circuit's *content* — structurally equal circuits hit the
-//     same entry regardless of pointer identity or which process computed
-//     it first.
+//     same entry regardless of pointer identity.
 //
-// A cache optionally carries a persistent second tier: a content-addressed
-// artifact store (see NewCacheWithStore). Placement misses then consult
-// the store before computing, and computed placements (plus, one layer
-// up, experiments' whole group results) are written back, so warm-path
-// work survives the process. Graphs stay in memory: building one costs
-// about as much as decoding a stored copy would. Everything cached is a
-// pure function of its key, so cached and uncached runs produce
-// identical results; a Cache only changes how often the work is done.
-// All methods are safe for concurrent use, and concurrent requests for
-// the same key compute the value exactly once per process.
+// Both memos live in memory only. A cache optionally carries a persistent
+// artifact store (see NewCacheWithStore), but the store holds whole
+// results only — group results, compile results and ECO baselines, read
+// and written one layer up through GetArtifact and PutArtifact — so what
+// survives the process is exactly what a caller asks for. Everything
+// cached is a pure function of its key, so cached and uncached runs
+// produce identical results; a Cache only changes how often the work is
+// done. All methods are safe for concurrent use, and concurrent requests
+// for the same key compute the value exactly once per process.
 type Cache struct {
 	mu     sync.Mutex
 	graphs map[graphKey]*graphEntry
@@ -68,7 +65,6 @@ type Cache struct {
 
 	graphBuilds, graphHits       atomic.Uint64
 	placeAnneals, placeHits      atomic.Uint64
-	placeStoreHits               atomic.Uint64
 	artifactHits, artifactMisses atomic.Uint64
 	memFlushes                   atomic.Uint64
 
@@ -98,9 +94,9 @@ func NewCache() *Cache {
 }
 
 // NewCacheWithStore returns a cache backed by a persistent artifact store:
-// the in-memory tier works exactly as in NewCache, and placement misses
-// fall through to st before computing. st may be nil, which is
-// equivalent to NewCache.
+// the in-memory memos work exactly as in NewCache, and GetArtifact and
+// PutArtifact read and write whole results in st. st may be nil, which
+// is equivalent to NewCache.
 func NewCacheWithStore(st *store.Store) *Cache {
 	c := NewCache()
 	c.store = st
@@ -128,12 +124,10 @@ type Stats struct {
 	// loaded. The field stays only because the benchmark harness
 	// (bench/mmperf) still reads it; it goes when that read does.
 	GraphLoads uint64 `metric:"mm_cache_graph_loads_total" help:"Always 0: graphs are built in memory, never loaded from the store (kept for the benchmark harness)."`
-	// PlaceAnneals counts actual place.Place executions — the annealing
-	// work a warm cache exists to skip. PlaceHits are memory-tier hits,
-	// PlaceStoreHits are placements decoded from the artifact store.
-	PlaceAnneals   uint64 `metric:"mm_cache_place_anneals_total" help:"Placement anneals executed."`
-	PlaceHits      uint64 `metric:"mm_cache_place_hits_total" help:"Placement requests served from memory."`
-	PlaceStoreHits uint64 `metric:"mm_cache_place_store_hits_total" help:"Placements decoded from the artifact store."`
+	// PlaceAnneals counts actual place.Place executions; PlaceHits counts
+	// requests served by an already-annealed placement.
+	PlaceAnneals uint64 `metric:"mm_cache_place_anneals_total" help:"Placement anneals executed."`
+	PlaceHits    uint64 `metric:"mm_cache_place_hits_total" help:"Placement requests served from memory."`
 	// ArtifactHits / ArtifactMisses count top-level artifact lookups —
 	// whole group results (experiments.RunGroup) and whole compile
 	// results (the service's warm path), the tiers consulted before
@@ -164,7 +158,6 @@ func (c *Cache) Stats() Stats {
 		GraphHits:      c.graphHits.Load(),
 		PlaceAnneals:   c.placeAnneals.Load(),
 		PlaceHits:      c.placeHits.Load(),
-		PlaceStoreHits: c.placeStoreHits.Load(),
 		ArtifactHits:   c.artifactHits.Load(),
 		ArtifactMisses: c.artifactMisses.Load(),
 		MemFlushes:     c.memFlushes.Load(),
@@ -262,32 +255,15 @@ func (c *Cache) Graphs() []*arch.Graph {
 
 // placeKey identifies a placement by everything place.Place depends on:
 // the circuit (by content hash — structurally equal circuits share the
-// entry, within and across processes), the logic-array dimensions, and the
-// annealer seed, effort and multi-start count. Channel width is
-// deliberately absent: placement never looks at it (see
-// placementChannelWidth).
+// entry), the logic-array dimensions, and the annealer seed, effort and
+// multi-start count. Channel width is deliberately absent: placement
+// never looks at it (see placementChannelWidth).
 type placeKey struct {
 	circuit       codec.Hash
 	width, height int
 	seed          int64
 	effort        float64
 	starts        int
-}
-
-// storeKey derives the artifact-store key of a placement entry. The
-// placement format version rides in via codec.EncodePlacement's header at
-// write time and, for the key itself, below — so a format bump orphans
-// stale entries instead of misreading them.
-func (k placeKey) storeKey() codec.Hash {
-	w := codec.NewWriter()
-	w.Header(codec.KindPlacement, codec.PlacementVersion)
-	w.String(k.circuit.Hex())
-	w.Int(k.width)
-	w.Int(k.height)
-	w.Varint(k.seed)
-	w.Float64(k.effort)
-	w.Int(k.starts)
-	return w.Sum()
 }
 
 type placeEntry struct {
@@ -299,15 +275,13 @@ type placeEntry struct {
 
 // placement returns the annealed placement of circuit ct on a
 // width×height logic array under the given seed, effort and multi-start
-// count, computing it on first request per process and consulting the
-// artifact store (when attached) before annealing. reg only observes the
-// anneal that actually runs (and so stays out of the key) — a memory or
-// store hit records nothing, which is exactly the work-done
-// truth. The returned placement is shared: callers must treat it as
-// immutable.
+// count, computing it on first request per process. reg only observes the
+// anneal that actually runs (and so stays out of the key) — a hit records
+// nothing, which is exactly the work-done truth. The returned placement
+// is shared: callers must treat it as immutable.
 func (c *Cache) placement(ct *lutnet.Circuit, width, height int, seed int64, effort float64, starts int, reg *obs.Registry) (*place.Placement, place.CircuitCells, error) {
 	if starts < 1 {
-		starts = 1 // normalised so 0 and 1 share the (identical) artifact
+		starts = 1 // normalised so 0 and 1 share the (identical) entry
 	}
 	k := placeKey{circuit: c.CircuitHash(ct), width: width, height: height, seed: seed, effort: effort, starts: starts}
 	c.mu.Lock()
@@ -321,32 +295,11 @@ func (c *Cache) placement(ct *lutnet.Circuit, width, height int, seed int64, eff
 	computed := false
 	e.once.Do(func() {
 		computed = true
-		var key codec.Hash
-		if c.store != nil {
-			key = k.storeKey()
-			if data, err := c.store.Get(key); err == nil {
-				pl, cc, derr := codec.DecodePlacement(data)
-				// The artifact must match the circuit in hand; a mismatch
-				// (e.g. a hash collision would require one, but a stale
-				// format is the realistic case) degrades to a recompute.
-				if derr == nil && cc.NumBlk == len(ct.Blocks) && cc.NumPI == len(ct.PINames) && cc.NumPO == len(ct.POs) {
-					cc.Circuit = ct
-					c.placeStoreHits.Add(1)
-					e.pl, e.cc = pl, cc
-					return
-				}
-			}
-		}
 		c.placeAnneals.Add(1)
 		a := arch.New(width, height, placementChannelWidth)
 		prob, cc := place.FromCircuit(ct)
 		pl, err := place.Place(prob, a, place.Options{Seed: seed, Effort: effort, Starts: starts, Obs: reg})
 		e.pl, e.cc, e.err = pl, cc, err
-		if c.store != nil && err == nil {
-			// Best effort: a failed write only costs the next process a
-			// recompute.
-			_ = c.store.Put(key, codec.EncodePlacement(pl, cc))
-		}
 	})
 	if !computed {
 		c.placeHits.Add(1)

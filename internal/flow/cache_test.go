@@ -2,7 +2,6 @@ package flow
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -160,87 +159,6 @@ func TestPlacementContentAddressed(t *testing.T) {
 	}
 }
 
-// TestPlacementStoreTier checks the persistent tier end to end: a second
-// cache (a second process, in effect) sharing the same store directory
-// must reload the identical placement without annealing, and a corrupted
-// artifact must degrade to a recompute with the same result.
-func TestPlacementStoreTier(t *testing.T) {
-	cfg := testConfig().filled()
-	mapped, err := MapModes(buildPair(t, 3, 4, 30), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := mapped[0]
-	dir := t.TempDir()
-	st1, err := store.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := NewCacheWithStore(st1)
-	plCold, ccCold, err := cold.placement(ct, 6, 6, 1, cfg.PlaceEffort, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := cold.Stats(); s.PlaceAnneals != 1 || s.PlaceStoreHits != 0 {
-		t.Fatalf("cold stats %+v, want 1 anneal / 0 store hits", s)
-	}
-
-	st2, err := store.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := NewCacheWithStore(st2)
-	plWarm, ccWarm, err := warm.placement(ct, 6, 6, 1, cfg.PlaceEffort, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plWarm, plCold) || !reflect.DeepEqual(ccWarm, ccCold) {
-		t.Fatal("store-tier placement differs from the annealed one")
-	}
-	if s := warm.Stats(); s.PlaceAnneals != 0 || s.PlaceStoreHits != 1 {
-		t.Fatalf("warm stats %+v, want 0 anneals / 1 store hit", s)
-	}
-
-	// Corrupt the artifact: the next process must fall back to annealing
-	// and reproduce the identical placement (determinism), not error out.
-	key := placeKey{circuit: warm.CircuitHash(ct), width: 6, height: 6, seed: 1, effort: cfg.PlaceEffort, starts: 1}.storeKey()
-	raw, err := os.ReadFile(st2.Path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0x01
-	if err := os.WriteFile(st2.Path(key), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st3, err := store.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	healed := NewCacheWithStore(st3)
-	plHealed, _, err := healed.placement(ct, 6, 6, 1, cfg.PlaceEffort, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plHealed, plCold) {
-		t.Fatal("recompute after corruption produced a different placement")
-	}
-	if s := healed.Stats(); s.PlaceAnneals != 1 || s.Store.Corrupt != 1 {
-		t.Fatalf("healed stats %+v, want 1 anneal / 1 corrupt", s)
-	}
-	// The recompute healed the entry on disk.
-	st4, err := store.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := NewCacheWithStore(st4)
-	if _, _, err := final.placement(ct, 6, 6, 1, cfg.PlaceEffort, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if s := final.Stats(); s.PlaceStoreHits != 1 {
-		t.Fatalf("final stats %+v, want a store hit after healing", s)
-	}
-}
-
 // TestMemoryTierFlush checks the memo-tier bound: exceeding
 // memoryCapEntries flushes the maps (keeping a long-running server's
 // footprint finite) and the cache keeps answering correctly afterwards.
@@ -256,46 +174,6 @@ func TestMemoryTierFlush(t *testing.T) {
 	}
 	if c.CircuitHash(first) != want {
 		t.Fatal("hash changed across a flush")
-	}
-}
-
-// TestComparisonWarmStore runs the full comparison twice against one store
-// directory with fresh in-memory caches and demands identical metrics with
-// zero placement annealing on the warm pass.
-func TestComparisonWarmStore(t *testing.T) {
-	cfg := testConfig()
-	mapped, err := MapModes(buildPair(t, 1, 2, 30), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	run := func() (*Comparison, Stats) {
-		st, err := store.Open(dir, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := cfg
-		c.Cache = NewCacheWithStore(st)
-		cmp, err := RunComparison("warmstore", mapped, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cmp, c.Cache.Stats()
-	}
-	cold, coldStats := run()
-	warm, warmStats := run()
-	if coldStats.PlaceAnneals == 0 {
-		t.Fatal("cold run annealed nothing — test is vacuous")
-	}
-	if warmStats.PlaceAnneals != 0 {
-		t.Fatalf("warm run annealed %d placements, want 0", warmStats.PlaceAnneals)
-	}
-	if cold.MDR.ReconfigBits != warm.MDR.ReconfigBits ||
-		cold.WireLen.ReconfigBits != warm.WireLen.ReconfigBits ||
-		cold.EdgeMatch.ReconfigBits != warm.EdgeMatch.ReconfigBits ||
-		cold.MDR.AvgWire != warm.MDR.AvgWire ||
-		cold.Region.Arch != warm.Region.Arch {
-		t.Fatal("warm-store comparison differs from the cold one")
 	}
 }
 
@@ -334,11 +212,12 @@ func TestComparisonIdenticalWithCache(t *testing.T) {
 	}
 }
 
-// TestGraphsNeverReachStore checks that routing-resource graphs live in
-// memory only, even in a store-backed cache: a repeat request is a memo
+// TestGraphsNeverReachStore checks that the store-backed cache keeps
+// every intermediate product in memory: a repeat graph request is a memo
 // hit with no store traffic, a second cache over the same directory
-// builds the graph again, and a whole SizeRegion run writes nothing to
-// the store but its placements.
+// builds the graph again, and neither a whole SizeRegion run nor a whole
+// RunComparison writes anything to the store — what is stored is whole
+// results only, put there by the callers one layer up.
 func TestGraphsNeverReachStore(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Cache {
@@ -379,8 +258,20 @@ func TestGraphsNeverReachStore(t *testing.T) {
 	if s.PlaceAnneals == 0 || s.GraphBuilds == 0 {
 		t.Fatalf("stats %+v: SizeRegion did no work, test is vacuous", s)
 	}
-	if s.Store.Puts != s.PlaceAnneals {
-		t.Fatalf("%d store puts for %d placement anneals, want placements only", s.Store.Puts, s.PlaceAnneals)
+	if gets := s.Store.Hits + s.Store.Misses + s.Store.Corrupt; gets != 0 || s.Store.Puts != 0 {
+		t.Fatalf("SizeRegion store stats %+v, want no gets or puts", s.Store)
+	}
+
+	cfg.Cache = open()
+	if _, err := RunComparison("nostore", mapped, cfg); err != nil {
+		t.Fatal(err)
+	}
+	s = cfg.Cache.Stats()
+	if s.PlaceAnneals == 0 {
+		t.Fatalf("stats %+v: RunComparison annealed nothing, test is vacuous", s)
+	}
+	if gets := s.Store.Hits + s.Store.Misses + s.Store.Corrupt; gets != 0 || s.Store.Puts != 0 {
+		t.Fatalf("RunComparison store stats %+v, want no gets or puts", s.Store)
 	}
 }
 

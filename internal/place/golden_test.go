@@ -35,7 +35,8 @@ func hashPlacement(pl *Placement) uint64 {
 // random start, a refinement of that result (Init), an ECO-style quench
 // of it (Init + WarmStart), and a two-start run. The fixed-64 batch
 // protocol defines these trajectories; a mismatch means placement results
-// moved and would require a codec.PlacementVersion bump.
+// moved and would require bumping the result versions that cover them
+// (experiments.groupResultVersion, service.resultVersion).
 var goldenPlaced = map[string]uint64{
 	"cold":      0x8e31f9350e366197,
 	"refine":    0xaa5360a149f5c38c,

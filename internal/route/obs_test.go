@@ -2,8 +2,11 @@ package route
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -58,5 +61,55 @@ func TestRouteObsNeverPerturbsResult(t *testing.T) {
 		if !stats.Has(name) {
 			t.Errorf("family %s missing from router metrics", name)
 		}
+	}
+}
+
+// TestRouteObservesFailedRoute: a route that gives up still did its
+// work, so it is counted in mm_route_* exactly as its ErrUnroutable
+// reports it. Eight nets share one column of a width-1 channel, which
+// no negotiation can resolve.
+func TestRouteObservesFailedRoute(t *testing.T) {
+	g := arch.BuildGraph(arch.New(4, 4, 1))
+	var nets []Net
+	for y := 1; y <= 4; y++ {
+		for _, x := range []int{1, 2} {
+			nets = append(nets, Net{
+				Name:   fmt.Sprintf("n%d_%d", x, y),
+				Source: g.CLBSource(x, y),
+				Sinks:  []int32{g.CLBSink(5-x, 5-y)},
+			})
+		}
+	}
+	reg := obs.NewRegistry()
+	_, err := Route(g, nets, Options{Obs: reg, MaxIters: 4})
+	var un *ErrUnroutable
+	if !errors.As(err, &un) {
+		t.Fatalf("route returned %v, want ErrUnroutable", err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sample := func(name string) float64 {
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("no sample %s in\n%s", name, buf.String())
+		return 0
+	}
+	if got := sample("mm_route_calls_total"); got != 1 {
+		t.Errorf("mm_route_calls_total = %v, want 1", got)
+	}
+	if got, want := sample("mm_route_heap_pushes_sum"), float64(un.Stats.HeapPushes); got != want || want == 0 {
+		t.Errorf("mm_route_heap_pushes_sum = %v, want the error's %v", got, want)
+	}
+	if got := sample("mm_route_iterations_sum"); got != float64(un.Stats.Iterations) {
+		t.Errorf("mm_route_iterations_sum = %v, want the error's %d", got, un.Stats.Iterations)
 	}
 }

@@ -26,6 +26,7 @@ package route
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/arch"
@@ -308,8 +309,12 @@ func Route(g *arch.Graph, nets []Net, opt Options) (*Result, error) {
 	}
 	r := newRouter(g, nets, opt)
 	res, err := r.run()
-	if res != nil {
+	var un *ErrUnroutable
+	switch {
+	case res != nil:
 		observe(opt.Obs, &res.Stats)
+	case errors.As(err, &un):
+		observe(opt.Obs, &un.Stats) // a failed route's work counts too
 	}
 	return res, err
 }

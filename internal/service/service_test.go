@@ -342,6 +342,11 @@ func TestCompileDeltaBaseline(t *testing.T) {
 	if res.Delta != nil {
 		t.Fatalf("cold compile reported delta info: %+v", res.Delta)
 	}
+	// The store holds whole results only: a cold compile puts its result
+	// and its baseline, and none of the products in between.
+	if puts := cache.Stats().Store.Puts; puts != 2 {
+		t.Fatalf("cold persistent compile put %d store entries, want 2 (result and baseline)", puts)
+	}
 
 	// Edit one mode (one extra gate) and recompile against the baseline.
 	edited := *req

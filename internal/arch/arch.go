@@ -45,6 +45,12 @@ func New(width, height, channelWidth int) Arch {
 	}
 }
 
+// OnRing reports whether tile (x, y) lies on the I/O ring around the
+// logic array, where the pads are.
+func (a Arch) OnRing(x, y int) bool {
+	return x == 0 || y == 0 || x == a.Width+1 || y == a.Height+1
+}
+
 // NumCLBs returns the number of logic-block sites.
 func (a Arch) NumCLBs() int { return a.Width * a.Height }
 

@@ -29,9 +29,13 @@ func TestIOSitesUnique(t *testing.T) {
 		if !s.IsIO {
 			t.Fatalf("IO site %v not marked IsIO", s)
 		}
-		onEdge := s.X == 0 || s.X == a.Width+1 || s.Y == 0 || s.Y == a.Height+1
-		if !onEdge {
+		if !a.OnRing(s.X, s.Y) {
 			t.Fatalf("IO site %v not on perimeter", s)
+		}
+	}
+	for _, s := range a.CLBSites() {
+		if a.OnRing(s.X, s.Y) {
+			t.Fatalf("logic site %v on the I/O ring", s)
 		}
 	}
 }
@@ -121,6 +125,9 @@ func TestGraphEdgeSanity(t *testing.T) {
 		for i, to := range tos {
 			if to < 0 || int(to) >= g.NumNodes() {
 				t.Fatalf("node %d: edge to out-of-range %d", n, to)
+			}
+			if b := g.EdgeBit(n, to); b != bits[i] {
+				t.Fatalf("EdgeBit(%d, %d) = %d, want %d", n, to, b, bits[i])
 			}
 			toN := g.Nodes[to]
 			// Type-level legality.

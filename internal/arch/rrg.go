@@ -155,6 +155,18 @@ func (g *Graph) EdgeBits(n int32) []int32 {
 	return g.edgeBit[g.edgeStart[n]:g.edgeStart[n+1]]
 }
 
+// EdgeBit returns the configuration bit that programs the edge from→to,
+// or -1 when that edge is hardwired or absent.
+func (g *Graph) EdgeBit(from, to int32) int32 {
+	bits := g.EdgeBits(from)
+	for i, t := range g.Edges(from) {
+		if t == to {
+			return bits[i]
+		}
+	}
+	return -1
+}
+
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
 

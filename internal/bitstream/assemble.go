@@ -109,8 +109,7 @@ func ipinAssignments(g *arch.Graph, nets []route.Net, rr *route.Result) (map[pin
 			}
 			// CLB ipin? (pads have their own IPIN nodes; skip them, pad
 			// sinks need no permutation.)
-			onRing := toN.X == 0 || toN.Y == 0 || int(toN.X) == g.Arch.Width+1 || int(toN.Y) == g.Arch.Height+1
-			if onRing {
+			if g.Arch.OnRing(int(toN.X), int(toN.Y)) {
 				continue
 			}
 			sink := g.CLBSink(int(toN.X), int(toN.Y))

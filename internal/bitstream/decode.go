@@ -87,8 +87,7 @@ func Decode(g *arch.Graph, cfg *Config, names PadNames) (*lutnet.Circuit, error)
 					}
 					claimedBy[to] = di
 					seen[to] = true
-					onRing := toN.X == 0 || toN.Y == 0 || int(toN.X) == a.Width+1 || int(toN.Y) == a.Height+1
-					if onRing {
+					if a.OnRing(int(toN.X), int(toN.Y)) {
 						d.padPins = append(d.padPins, to)
 					} else {
 						d.clbPins = append(d.clbPins, to)
@@ -108,8 +107,7 @@ func Decode(g *arch.Graph, cfg *Config, names PadNames) (*lutnet.Circuit, error)
 	blockIdxAt := map[blockSite]int{}
 	for _, d := range drivers {
 		nd := g.Nodes[d.opin]
-		onRing := nd.X == 0 || nd.Y == 0 || int(nd.X) == a.Width+1 || int(nd.Y) == a.Height+1
-		if onRing {
+		if a.OnRing(int(nd.X), int(nd.Y)) {
 			continue
 		}
 		bs := blockSite{int(nd.X), int(nd.Y)}
@@ -137,8 +135,7 @@ func Decode(g *arch.Graph, cfg *Config, names PadNames) (*lutnet.Circuit, error)
 	driverSource := make([]lutnet.Source, len(drivers))
 	for di, d := range drivers {
 		nd := g.Nodes[d.opin]
-		onRing := nd.X == 0 || nd.Y == 0 || int(nd.X) == a.Width+1 || int(nd.Y) == a.Height+1
-		if onRing {
+		if a.OnRing(int(nd.X), int(nd.Y)) {
 			pad := -1
 			for i, s := range ioSites {
 				if int16(s.X) == nd.X && int16(s.Y) == nd.Y && int16(s.Sub) == nd.Track {

@@ -158,39 +158,6 @@ func EncodeNetlist(n *netlist.Netlist) []byte {
 	return w.Bytes()
 }
 
-// DecodeNetlist is the inverse of EncodeNetlist; the rebuilt netlist is
-// validated (including acyclicity) before being returned.
-func DecodeNetlist(data []byte) (*netlist.Netlist, error) {
-	r := NewReader(data)
-	r.Header(KindNetlist, NetlistVersion)
-	name := r.String()
-	nNodes := r.Len(1)
-	nodes := make([]*netlist.Node, 0, nNodes)
-	for i := 0; i < nNodes; i++ {
-		nd := &netlist.Node{
-			ID:     i,
-			Kind:   netlist.Kind(r.Int()),
-			Name:   r.String(),
-			Fanins: r.Ints(),
-		}
-		nd.Func = logic.TT{NumVars: r.Int(), Bits: r.Uvarint()}
-		nd.Init = r.Bool()
-		nodes = append(nodes, nd)
-	}
-	var outs []netlist.Output
-	for i, n := 0, r.Len(1); i < n; i++ {
-		outs = append(outs, netlist.Output{Name: r.String(), Driver: r.Int()})
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	nl, err := netlist.Reconstruct(name, nodes, outs)
-	if err != nil {
-		return nil, fmt.Errorf("codec: decoded netlist invalid: %w", err)
-	}
-	return nl, nil
-}
-
 // HashNetlist returns the content hash of a netlist (mmserved keys its
 // request deduplication on these, so textual BLIF variations of the same
 // network collapse to one identity).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/codec"
-	"repro/internal/flow"
 	"repro/internal/lutnet"
 )
 
@@ -40,14 +39,13 @@ const (
 // circuits (in group order), and the scale knobs RunGroup feeds into
 // flow.Config. Everything else RunGroup depends on is constant per
 // groupResultVersion.
-func groupResultKey(c *flow.Cache, name string, modes []*lutnet.Circuit, sc Scale) codec.Hash {
+func groupResultKey(name string, modes []*lutnet.Circuit, sc Scale) codec.Hash {
 	w := codec.NewWriter()
 	w.Header(kindGroupResult, groupResultVersion)
 	w.String(name)
 	w.Uvarint(uint64(len(modes)))
 	for _, m := range modes {
-		h := c.CircuitHash(m)
-		w.String(h.Hex())
+		w.String(codec.HashCircuit(m).Hex())
 	}
 	w.Float64(sc.Effort)
 	w.Varint(sc.Seed)

@@ -32,7 +32,6 @@ import (
 	"repro/internal/gen/regexgen"
 	"repro/internal/lutnet"
 	"repro/internal/netlist"
-	"repro/internal/route"
 )
 
 // Scale controls experiment size so the harness can run anywhere from a
@@ -385,7 +384,7 @@ func RunGroup(suite *Suite, group []int, sc Scale) (*GroupResult, error) {
 	persistent := sc.Cache != nil && sc.Cache.Store() != nil
 	var key codec.Hash
 	if persistent {
-		key = groupResultKey(sc.Cache, name, modes, sc)
+		key = groupResultKey(name, modes, sc)
 		if data, ok := sc.Cache.GetArtifact(key); ok {
 			if res, err := decodeGroupResult(data); err == nil {
 				return res, nil
@@ -442,12 +441,7 @@ func RunGroup(suite *Suite, group []int, sc Scale) (*GroupResult, error) {
 		DiffSwitch: diffSwitch,
 		DCSSwitch:  flow.DCSSwitchMatrix(region.Arch, wl.TRoute, len(modes)),
 	}
-	var sum route.Summary
-	for _, m := range mdr.PerMode {
-		sum.Add(m.Routing.Stats)
-	}
-	sum.Add(em.TRoute.Route.Stats)
-	sum.Add(wl.TRoute.Route.Stats)
+	sum := cmp.RouteWork()
 	res.RouteIters, res.RerouteConns, res.PeakOveruse = sum.Iterations, sum.Rerouted, sum.PeakOveruse
 	if persistent {
 		if data, err := json.Marshal(res); err == nil {

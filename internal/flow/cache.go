@@ -1,9 +1,9 @@
 package flow
 
 import (
+	"context"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/arch"
@@ -23,14 +23,11 @@ import (
 // built from this architecture.
 const placementChannelWidth = 4
 
-// memoryCapEntries bounds the in-process memo tier. A sweep or a CLI run
+// memoryCapEntries bounds each of the cache's memos. A sweep or a CLI run
 // never approaches it, but a long-running mmserved accumulates entries
-// (and the hashes map pins every requested circuit) for the process
-// lifetime; past the cap the maps are flushed wholesale. Flushing is
-// always sound — at worst the next request recomputes — so the coarse
-// policy buys a bounded footprint without per-entry LRU bookkeeping.
-// In-flight computations are unaffected: waiters hold their entry
-// pointer, and a re-request simply creates a fresh entry.
+// for the process lifetime; past the cap a memo is flushed wholesale
+// (see memo), which buys a bounded footprint without per-entry LRU
+// bookkeeping.
 const memoryCapEntries = 4096
 
 // Cache memoizes the expensive, deterministic intermediate products of the
@@ -45,22 +42,24 @@ const memoryCapEntries = 4096
 //     computed for the first bisection probe is reused by every later
 //     probe and by the final MDR implementation on the sized region. The
 //     key is the circuit's *content* — structurally equal circuits hit the
-//     same entry regardless of pointer identity.
+//     same entry regardless of pointer identity. The hash is taken on
+//     every request: it costs tens of microseconds, next to the seconds
+//     of the flow around it, and remembering it would pin every circuit
+//     the cache was ever handed.
 //
-// Both memos live in memory only. A cache optionally carries a persistent
-// artifact store (see NewCacheWithStore), but the store holds whole
-// results only — group results, compile results and ECO baselines, read
-// and written one layer up through GetArtifact and PutArtifact — so what
+// Both memos live in memory only, each bounded by memoryCapEntries. A
+// cache optionally carries a persistent artifact store (see
+// NewCacheWithStore), but the store holds whole results only — group
+// results, compile results and ECO baselines, read and written one
+// layer up through GetArtifact and PutArtifact — so what
 // survives the process is exactly what a caller asks for. Everything
 // cached is a pure function of its key, so cached and uncached runs
 // produce identical results; a Cache only changes how often the work is
 // done. All methods are safe for concurrent use, and concurrent requests
 // for the same key compute the value exactly once per process.
 type Cache struct {
-	mu     sync.Mutex
-	graphs map[graphKey]*graphEntry
-	places map[placeKey]*placeEntry
-	hashes map[*lutnet.Circuit]codec.Hash // memoized content hashes
+	graphs *memo[graphKey, *arch.Graph]
+	places *memo[placeKey, placed]
 	store  *store.Store
 
 	graphBuilds, graphHits       atomic.Uint64
@@ -72,25 +71,12 @@ type Cache struct {
 	baselineMisses                atomic.Uint64
 }
 
-// maybeFlushLocked empties the memo maps when the entry cap is exceeded.
-// Callers hold c.mu.
-func (c *Cache) maybeFlushLocked() {
-	if len(c.graphs)+len(c.places)+len(c.hashes) <= memoryCapEntries {
-		return
-	}
-	c.graphs = map[graphKey]*graphEntry{}
-	c.places = map[placeKey]*placeEntry{}
-	c.hashes = map[*lutnet.Circuit]codec.Hash{}
-	c.memFlushes.Add(1)
-}
-
 // NewCache returns an empty in-memory cache, ready for concurrent use.
 func NewCache() *Cache {
-	return &Cache{
-		graphs: map[graphKey]*graphEntry{},
-		places: map[placeKey]*placeEntry{},
-		hashes: map[*lutnet.Circuit]codec.Hash{},
-	}
+	c := &Cache{}
+	c.graphs = newMemo[graphKey, *arch.Graph](memoryCapEntries, &c.memFlushes)
+	c.places = newMemo[placeKey, placed](memoryCapEntries, &c.memFlushes)
+	return c
 }
 
 // NewCacheWithStore returns a cache backed by a persistent artifact store:
@@ -134,7 +120,7 @@ type Stats struct {
 	// running any flow at all.
 	ArtifactHits   uint64 `metric:"mm_cache_artifact_hits_total" help:"Top-level artifact store hits."`
 	ArtifactMisses uint64 `metric:"mm_cache_artifact_misses_total" help:"Top-level artifact store misses."`
-	// MemFlushes counts wholesale flushes of the in-memory tier (the
+	// MemFlushes counts wholesale flushes of the in-memory memos (the
 	// memoryCapEntries bound that keeps a long-running server's
 	// footprint finite).
 	MemFlushes uint64 `metric:"mm_cache_mem_flushes_total" help:"Wholesale flushes of the in-memory memo tier."`
@@ -184,74 +170,27 @@ func (s Stats) String() string {
 	return strings.Join(parts, " ")
 }
 
-// CircuitHash returns the circuit's content hash, memoized per pointer so
-// suites sharing circuit pointers across groups hash each circuit once.
-func (c *Cache) CircuitHash(ct *lutnet.Circuit) codec.Hash {
-	c.mu.Lock()
-	h, ok := c.hashes[ct]
-	c.mu.Unlock()
-	if ok {
-		return h
-	}
-	h = codec.HashCircuit(ct)
-	c.mu.Lock()
-	c.maybeFlushLocked()
-	c.hashes[ct] = h
-	c.mu.Unlock()
-	return h
-}
-
 type graphKey struct {
 	side, w int
-}
-
-type graphEntry struct {
-	once sync.Once
-	g    *arch.Graph
 }
 
 // graph returns the routing-resource graph of a side×side region with
 // channel width w, building it on first request.
 func (c *Cache) graph(side, w int) *arch.Graph {
-	c.mu.Lock()
-	e := c.graphs[graphKey{side: side, w: w}]
-	if e == nil {
-		c.maybeFlushLocked()
-		e = &graphEntry{}
-		c.graphs[graphKey{side: side, w: w}] = e
-	}
-	c.mu.Unlock()
-	built := false
-	e.once.Do(func() {
-		built = true
-		c.graphBuilds.Add(1)
-		g := arch.BuildGraph(arch.New(side, side, w))
-		// Publish under mu so that Graphs — which cannot use once.Do
-		// without racing to mark unbuilt entries done — can read e.g
-		// safely; callers of graph() itself are ordered by once.Do.
-		c.mu.Lock()
-		e.g = g
-		c.mu.Unlock()
+	g, built, _ := c.graphs.get(context.Background(), graphKey{side: side, w: w}, func() (*arch.Graph, error) {
+		return arch.BuildGraph(arch.New(side, side, w)), nil
 	})
-	if !built {
+	if built {
+		c.graphBuilds.Add(1)
+	} else {
 		c.graphHits.Add(1)
 	}
-	return e.g
+	return g
 }
 
 // Graphs returns the graphs currently held by the cache, for tests and
 // diagnostics (e.g. verifying that shared graphs were not mutated).
-func (c *Cache) Graphs() []*arch.Graph {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []*arch.Graph
-	for _, e := range c.graphs {
-		if e.g != nil { // published under mu; nil while a build is in flight
-			out = append(out, e.g)
-		}
-	}
-	return out
-}
+func (c *Cache) Graphs() []*arch.Graph { return c.graphs.values() }
 
 // placeKey identifies a placement by everything place.Place depends on:
 // the circuit (by content hash — structurally equal circuits share the
@@ -266,45 +205,36 @@ type placeKey struct {
 	starts        int
 }
 
-type placeEntry struct {
-	once sync.Once
-	pl   *place.Placement
-	cc   place.CircuitCells
-	err  error
+// placed is a memoized placement with the cell encoding it indexes.
+type placed struct {
+	pl *place.Placement
+	cc place.CircuitCells
 }
 
 // placement returns the annealed placement of circuit ct on a
 // width×height logic array under the given seed, effort and multi-start
-// count, computing it on first request per process. reg only observes the
-// anneal that actually runs (and so stays out of the key) — a hit records
-// nothing, which is exactly the work-done truth. The returned placement
-// is shared: callers must treat it as immutable.
+// count, computing it on first request per process. The anneal runs
+// uncancelled, because its result is shared. reg only observes the
+// anneal that actually runs (and so stays out of the key) — a hit
+// records nothing, which is exactly the work-done truth. The returned
+// placement is shared: callers must treat it as immutable.
 func (c *Cache) placement(ct *lutnet.Circuit, width, height int, seed int64, effort float64, starts int, reg *obs.Registry) (*place.Placement, place.CircuitCells, error) {
 	if starts < 1 {
 		starts = 1 // normalised so 0 and 1 share the (identical) entry
 	}
-	k := placeKey{circuit: c.CircuitHash(ct), width: width, height: height, seed: seed, effort: effort, starts: starts}
-	c.mu.Lock()
-	e := c.places[k]
-	if e == nil {
-		c.maybeFlushLocked()
-		e = &placeEntry{}
-		c.places[k] = e
-	}
-	c.mu.Unlock()
-	computed := false
-	e.once.Do(func() {
-		computed = true
-		c.placeAnneals.Add(1)
+	k := placeKey{circuit: codec.HashCircuit(ct), width: width, height: height, seed: seed, effort: effort, starts: starts}
+	p, annealed, err := c.places.get(context.Background(), k, func() (placed, error) {
 		a := arch.New(width, height, placementChannelWidth)
 		prob, cc := place.FromCircuit(ct)
 		pl, err := place.Place(prob, a, place.Options{Seed: seed, Effort: effort, Starts: starts, Obs: reg})
-		e.pl, e.cc, e.err = pl, cc, err
+		return placed{pl, cc}, err
 	})
-	if !computed {
+	if annealed {
+		c.placeAnneals.Add(1)
+	} else {
 		c.placeHits.Add(1)
 	}
-	return e.pl, e.cc, e.err
+	return p.pl, p.cc, err
 }
 
 // GetArtifact looks a top-level artifact (a whole group result, a whole

@@ -1,13 +1,12 @@
 package flow
 
 import (
-	"fmt"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/lutnet"
 	"repro/internal/obs"
 	"repro/internal/place"
 	"repro/internal/store"
@@ -159,21 +158,38 @@ func TestPlacementContentAddressed(t *testing.T) {
 	}
 }
 
-// TestMemoryTierFlush checks the memo-tier bound: exceeding
-// memoryCapEntries flushes the maps (keeping a long-running server's
-// footprint finite) and the cache keeps answering correctly afterwards.
+// TestMemoryTierFlush checks the memo bound: inserting into a full memo
+// flushes it wholesale (keeping a long-running server's footprint
+// finite), the flush counts in Stats.MemFlushes, and the memo keeps
+// answering correctly afterwards. The cache's own memos hold
+// memoryCapEntries entries; a small bound stands in for it here.
 func TestMemoryTierFlush(t *testing.T) {
 	c := NewCache()
-	first := &lutnet.Circuit{Name: "c0", K: 4}
-	want := c.CircuitHash(first)
-	for i := 1; i <= memoryCapEntries+1; i++ {
-		c.CircuitHash(&lutnet.Circuit{Name: fmt.Sprintf("c%d", i), K: 4})
+	if c.graphs.limit != memoryCapEntries || c.places.limit != memoryCapEntries {
+		t.Fatalf("cache memo limits %d/%d, want %d", c.graphs.limit, c.places.limit, memoryCapEntries)
 	}
-	if c.Stats().MemFlushes == 0 {
-		t.Fatalf("no flush after %d entries", memoryCapEntries+2)
+	const limit = 4
+	m := newMemo[int, int](limit, &c.memFlushes)
+	square := func(i int) func() (int, error) {
+		return func() (int, error) { return i * i, nil }
 	}
-	if c.CircuitHash(first) != want {
-		t.Fatal("hash changed across a flush")
+	ctx := context.Background()
+	for i := 0; i <= limit; i++ {
+		if v, _, err := m.get(ctx, i, square(i)); err != nil || v != i*i {
+			t.Fatalf("get(%d) = %d, %v", i, v, err)
+		}
+		if n := len(m.entries); n > limit {
+			t.Fatalf("memo holds %d entries, limit %d", n, limit)
+		}
+	}
+	if n := c.Stats().MemFlushes; n != 1 {
+		t.Fatalf("%d flushes after %d entries, want 1", n, limit+1)
+	}
+	if v, computed, err := m.get(ctx, limit, square(limit)); err != nil || computed || v != limit*limit {
+		t.Fatalf("entry inserted after the flush: got (%d, computed %v, %v)", v, computed, err)
+	}
+	if v, computed, err := m.get(ctx, 0, square(0)); err != nil || !computed || v != 0 {
+		t.Fatalf("flushed entry: got (%d, computed %v, %v), want it recomputed", v, computed, err)
 	}
 }
 

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"repro/internal/lutnet"
 	"repro/internal/merge"
 	"repro/internal/obs"
+	"repro/internal/route"
 )
 
 // Comparison bundles the three implementations of one multi-mode circuit
@@ -23,6 +23,18 @@ type Comparison struct {
 	// ran (UsedBaseline) or it fell back to a cold compile
 	// (BaselineMiss). Nil for ordinary cold compiles.
 	Delta *DeltaStats
+}
+
+// RouteWork sums the router work of the comparison: every MDR mode's
+// route and both TRoutes.
+func (c *Comparison) RouteWork() route.Summary {
+	var sum route.Summary
+	for _, m := range c.MDR.PerMode {
+		sum.Add(m.Routing.Stats)
+	}
+	sum.Add(c.EdgeMatch.TRoute.Route.Stats)
+	sum.Add(c.WireLen.TRoute.Route.Stats)
+	return sum
 }
 
 // RunComparison sizes a shared region and implements the modes under MDR,
@@ -139,7 +151,7 @@ func runComparisonCold(name string, modes []*lutnet.Circuit, cfg Config) (*Compa
 // region: attempt k runs on attemptCfg(k), records into traces[k], and
 // shares the ladder's DCS placements with the other attempts.
 func coldRung(name string, modes []*lutnet.Circuit, region *Region, cfg Config, traces []*obs.Trace) func(ctx context.Context, k int, doubt func()) (*Comparison, error) {
-	memo := &placeMemo{entries: map[dcsKey]*dcsEntry{}}
+	places := newMemo[dcsKey, *dcsPlacement](0, nil)
 	return func(ctx context.Context, k int, doubt func()) (*Comparison, error) {
 		acfg, w := attemptCfg(cfg, region.Arch.W, k)
 		acfg.Ctx, acfg.RouteOpts.Ctx = ctx, ctx
@@ -156,16 +168,16 @@ func coldRung(name string, modes []*lutnet.Circuit, region *Region, cfg Config, 
 		}
 		acfg.Trace = cfg.Trace.Fork()
 		traces[k] = acfg.Trace
-		return runAttempt(name, modes, region, acfg, w, memo)
+		return runAttempt(name, modes, region, acfg, w, places)
 	}
 }
 
 // runAttempt is one attempt of the cold ladder: MDR and both DCS flows on
 // the sized region widened to channel width w. The DCS placements come
-// from memo, so only the first attempt of a seed merges and runs TPlace;
-// every attempt routes. The context is checked between the flows, so a
-// cancelled attempt does not start the next one.
-func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config, w int, memo *placeMemo) (*Comparison, error) {
+// from places, so only the first attempt of a seed merges and runs
+// TPlace; every attempt routes. The context is checked between the
+// flows, so a cancelled attempt does not start the next one.
+func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config, w int, places *memo[dcsKey, *dcsPlacement]) (*Comparison, error) {
 	region := sized
 	if w != sized.Arch.W {
 		region = cfg.NewRegion(sized.Arch.Width, w)
@@ -179,7 +191,7 @@ func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config,
 		if err := cfg.ctxErr(); err != nil {
 			return nil, err
 		}
-		p, err := memo.get(cfg.Ctx, dcsKey{cfg.Seed, obj}, func() (*dcsPlacement, error) {
+		p, _, err := places.get(cfg.Ctx, dcsKey{cfg.Seed, obj}, func() (*dcsPlacement, error) {
 			mres, err := placeDCS(name, modes, region.Arch, obj, cfg)
 			if err != nil {
 				return nil, err
@@ -189,7 +201,7 @@ func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config,
 		if err != nil {
 			return nil, err
 		}
-		dcs, err := routeDCS(p, region, obj, cfg)
+		dcs, err := routeDCS(p, region, obj.String(), cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -202,61 +214,13 @@ func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config,
 	return cmp, nil
 }
 
-// placeMemo is the place phase of one cold ladder, shared by its
+// dcsKey identifies a DCS placement of one cold ladder, shared by its
 // attempts. The attempts of a seed differ only in channel width, which
 // neither the combined placement nor TPlace reads, so a DCS placement is
 // a function of (seed, objective) alone: the first attempt to need one
 // computes it, and any attempt needing it meanwhile waits for that one.
 // The memo lives for one runComparisonCold call.
-type placeMemo struct {
-	mu      sync.Mutex
-	entries map[dcsKey]*dcsEntry
-}
-
 type dcsKey struct {
 	seed int64
 	obj  merge.Objective
-}
-
-type dcsEntry struct {
-	done    chan struct{} // closed once the fields below are final
-	p       *dcsPlacement
-	err     error
-	dropped bool // computation cut short by its attempt's cancellation
-}
-
-// get returns the placement of key, computing it with compute — which
-// must run under ctx — when no attempt has. A computation cut short by
-// the cancellation of its own attempt is not kept: its entry is dropped
-// before its waiters wake, and a waiter whose own context is live
-// computes the placement afresh. A waiter whose context is cancelled
-// returns its own ctx.Err().
-func (m *placeMemo) get(ctx context.Context, key dcsKey, compute func() (*dcsPlacement, error)) (*dcsPlacement, error) {
-	for {
-		m.mu.Lock()
-		e, ok := m.entries[key]
-		if !ok {
-			e = &dcsEntry{done: make(chan struct{})}
-			m.entries[key] = e
-			m.mu.Unlock()
-			e.p, e.err = compute()
-			if e.err != nil && ctx.Err() != nil {
-				e.dropped = true
-				m.mu.Lock()
-				delete(m.entries, key)
-				m.mu.Unlock()
-			}
-			close(e.done)
-			return e.p, e.err
-		}
-		m.mu.Unlock()
-		select {
-		case <-e.done:
-			if !e.dropped {
-				return e.p, e.err
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }

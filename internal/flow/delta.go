@@ -98,13 +98,7 @@ func runComparisonDelta(name string, modes []*lutnet.Circuit, cfg Config) (*Comp
 	contentOnly := true
 	for m, c := range modes {
 		bm := &base.Modes[m]
-		var h codec.Hash
-		if cfg.Cache != nil {
-			h = cfg.Cache.CircuitHash(c)
-		} else {
-			h = codec.HashCircuit(c)
-		}
-		if h == bm.CircuitHash {
+		if codec.HashCircuit(c) == bm.CircuitHash {
 			continue // unchanged: nil diff means identity
 		}
 		oldC, derr := codec.DecodeCircuit(bm.Circuit)
@@ -331,7 +325,7 @@ func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge
 // tcfg and routes it, falling back to RunDCS under cfg when either fails.
 func finishDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge.Objective, mres *merge.Result, tcfg, cfg Config) (*DCSResult, error) {
 	if p, err := tplaceDCS(mres, region.Arch, tcfg); err == nil {
-		if res, err := routeDCS(p, region, obj, tcfg); err == nil {
+		if res, err := routeDCS(p, region, obj.String(), tcfg); err == nil {
 			return res, nil
 		}
 	}

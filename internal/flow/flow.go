@@ -380,7 +380,7 @@ func RunDCS(name string, modes []*lutnet.Circuit, region *Region, obj merge.Obje
 	if err != nil {
 		return nil, err
 	}
-	return routeDCS(p, region, obj, cfg)
+	return routeDCS(p, region, obj.String(), cfg)
 }
 
 // dcsPlacement is the place phase of the DCS flow: a combined placement
@@ -416,10 +416,11 @@ func tplaceDCS(mres *merge.Result, a arch.Arch, cfg Config) (*dcsPlacement, erro
 }
 
 // routeDCS routes a placed Tunable circuit with TRoute on region and
-// assembles the DCS metrics. cfg must be filled: its RouteOpts are used
-// as they are.
-func routeDCS(p *dcsPlacement, region *Region, obj merge.Objective, cfg Config) (*DCSResult, error) {
-	sp := cfg.Trace.Start("troute", "objective", obj.String(), "w", strconv.Itoa(region.Arch.W))
+// assembles the DCS metrics; it is the one place a DCSResult is made.
+// objective labels the troute span: a merge objective, or "identity".
+// cfg must be filled: its RouteOpts are used as they are.
+func routeDCS(p *dcsPlacement, region *Region, objective string, cfg Config) (*DCSResult, error) {
+	sp := cfg.Trace.Start("troute", "objective", objective, "w", strconv.Itoa(region.Arch.W))
 	tr, err := troute.RouteTunable(region.Graph, p.merge.Tunable, p.lutSites, p.padSites, cfg.RouteOpts)
 	sp.End()
 	if err != nil {

@@ -2,36 +2,26 @@ package flow
 
 import (
 	"repro/internal/lutnet"
-	"repro/internal/troute"
+	"repro/internal/merge"
 	"repro/internal/tunable"
 )
 
 // RunDCSIdentity runs the DCS back-end on the naive index-based merge of
 // the paper's Fig. 3 (no combined placement): block i of every mode shares
 // Tunable LUT i, pad i shares pad group i. Used as an ablation baseline
-// showing the value of the combined-placement merge heuristics.
+// showing the value of the combined-placement merge heuristics. The
+// result's Merge holds the identity assignment and its Tunable circuit
+// but no sites: TPlace places the circuit from scratch.
 func RunDCSIdentity(name string, modes []*lutnet.Circuit, region *Region, cfg Config) (*DCSResult, error) {
 	cfg = cfg.filled()
-	tc, err := tunable.Merge(name, modes, tunable.Identity(modes))
+	asg := tunable.Identity(modes)
+	tc, err := tunable.Merge(name, modes, asg)
 	if err != nil {
 		return nil, err
 	}
-	lutSites, padSites, tpCost, err := TPlace(tc, region.Arch, cfg, nil, nil)
+	p, err := tplaceDCS(&merge.Result{Assignment: asg, Tunable: tc}, region.Arch, cfg)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := troute.RouteTunable(region.Graph, tc, lutSites, padSites, cfg.RouteOpts)
-	if err != nil {
-		return nil, err
-	}
-	res := &DCSResult{
-		TRoute:       tr,
-		ReconfigBits: tr.ReconfigBits(region.Arch),
-		TPlaceCost:   tpCost,
-	}
-	for _, w := range tr.PerModeWire {
-		res.AvgWire += float64(w)
-	}
-	res.AvgWire /= float64(len(tr.PerModeWire))
-	return res, nil
+	return routeDCS(p, region, "identity", cfg)
 }

@@ -562,7 +562,7 @@ func sumCounts(m map[int64]int) int {
 // returns that context's error. A placement — or an error — computed in
 // full is shared.
 func TestLadderPlaceMemoCancelledComputer(t *testing.T) {
-	memo := &placeMemo{entries: map[dcsKey]*dcsEntry{}}
+	memo := newMemo[dcsKey, *dcsPlacement](0, nil)
 	type result struct {
 		p   *dcsPlacement
 		err error
@@ -570,7 +570,7 @@ func TestLadderPlaceMemoCancelledComputer(t *testing.T) {
 	get := func(ctx context.Context, key dcsKey, compute func() (*dcsPlacement, error)) <-chan result {
 		out := make(chan result, 1)
 		go func() {
-			p, err := memo.get(ctx, key, compute)
+			p, _, err := memo.get(ctx, key, compute)
 			out <- result{p, err}
 		}()
 		return out

@@ -271,17 +271,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return &Counter{s: v.f.with(values)}
 }
 
-// GaugeVec is a gauge family with labels. Nil-safe.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge of the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return &Gauge{s: v.f.with(values)}
-}
-
 // HistogramVec is a histogram family with labels. Nil-safe.
 type HistogramVec struct{ f *family }
 
@@ -307,14 +296,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 		return nil
 	}
 	return &Counter{s: r.lookup(name, help, kindCounter, nil, nil).with(nil)}
-}
-
-// GaugeVec registers (or finds) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, keys ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.lookup(name, help, kindGauge, keys, nil)}
 }
 
 // Gauge registers (or finds) an unlabeled gauge.

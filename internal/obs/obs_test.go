@@ -14,7 +14,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Counter("mm_x_total", "x").Inc()
 	r.CounterVec("mm_xv_total", "x", "k").With("v").Add(3)
 	r.Gauge("mm_g", "g").Set(1)
-	r.GaugeVec("mm_gv", "g", "k").With("v").Add(-1)
 	r.Histogram("mm_h", "h", WorkBuckets).Observe(5)
 	r.HistogramVec("mm_hv", "h", WorkBuckets, "k").With("v").Observe(5)
 	r.CounterFunc("mm_cf_total", "cf", func() float64 { return 1 })

@@ -279,12 +279,11 @@ func capacities(g *arch.Graph) []int16 {
 	k := int16(g.Arch.K)
 	for i := range caps {
 		n := g.Nodes[i]
-		onRing := n.X == 0 || n.Y == 0 || int(n.X) == g.Arch.Width+1 || int(n.Y) == g.Arch.Height+1
 		switch n.Type {
 		case arch.NodeSink:
 			// A CLB sink accepts up to K nets per mode (one per input
 			// pin); pad sinks accept one.
-			if onRing {
+			if g.Arch.OnRing(int(n.X), int(n.Y)) {
 				caps[i] = 1
 			} else {
 				caps[i] = k
@@ -376,14 +375,8 @@ func UsedBits(g *arch.Graph, trees []Tree) map[int32]bool {
 	used := map[int32]bool{}
 	for _, t := range trees {
 		for _, e := range t.Edges {
-			bits := g.EdgeBits(e.From)
-			for i, to := range g.Edges(e.From) {
-				if to == e.To {
-					if bits[i] >= 0 {
-						used[bits[i]] = true
-					}
-					break
-				}
+			if b := g.EdgeBit(e.From, e.To); b >= 0 {
+				used[b] = true
 			}
 		}
 	}

@@ -50,6 +50,14 @@ import (
 // cutting one off only to retry it colder elsewhere helps nobody.
 const forwardTimeout = 30 * time.Minute
 
+// dialTimeout bounds connection establishment per forward attempt — the
+// "is this worker alive at all" stage — and each whole /readyz probe.
+const dialTimeout = 2 * time.Second
+
+// retryBaseDelay is the base of the jittered backoff between forward
+// attempts (doubled per extra failover, jittered ±50%).
+const retryBaseDelay = 25 * time.Millisecond
+
 // DispatchOptions tunes the dispatcher; the zero value selects every
 // default. There is no retry budget: a request tries its candidate
 // backends in rendezvous order, each at most once, before it fails.
@@ -57,13 +65,6 @@ type DispatchOptions struct {
 	// QueueLimit bounds concurrently admitted requests; excess is shed
 	// with 503 + Retry-After. <= 0 selects 256.
 	QueueLimit int
-	// DialTimeout bounds connection establishment per attempt — the
-	// "is this worker alive at all" stage. <= 0 selects 2s.
-	DialTimeout time.Duration
-	// RetryBaseDelay is the base of the jittered backoff between
-	// attempts (doubled per extra failover, jittered ±50%). <= 0
-	// selects 25ms.
-	RetryBaseDelay time.Duration
 	// Cooldown is how long a backend stays ejected after a transport
 	// failure or a 503. <= 0 selects 3s.
 	Cooldown time.Duration
@@ -81,12 +82,6 @@ func DefaultDispatchOptions() DispatchOptions {
 func (o DispatchOptions) withDefaults() DispatchOptions {
 	if o.QueueLimit <= 0 {
 		o.QueueLimit = 256
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.RetryBaseDelay <= 0 {
-		o.RetryBaseDelay = 25 * time.Millisecond
 	}
 	if o.Cooldown <= 0 {
 		o.Cooldown = 3 * time.Second
@@ -150,11 +145,11 @@ func NewDispatcher(urls []string, opts DispatchOptions) (*Dispatcher, error) {
 		client: &http.Client{
 			Timeout: forwardTimeout,
 			Transport: &http.Transport{
-				DialContext:         (&net.Dialer{Timeout: opts.DialTimeout}).DialContext,
+				DialContext:         (&net.Dialer{Timeout: dialTimeout}).DialContext,
 				MaxIdleConnsPerHost: 128,
 			},
 		},
-		probeCl: &http.Client{Timeout: opts.DialTimeout},
+		probeCl: &http.Client{Timeout: dialTimeout},
 	}
 	seen := map[string]bool{}
 	for _, u := range urls {
@@ -353,7 +348,7 @@ func (d *Dispatcher) forward(ctx context.Context, key codec.Hash, body []byte) (
 			// Exponential backoff with ±50% jitter, so synchronized
 			// failovers from many concurrent requests spread out instead
 			// of stampeding the next backend in lockstep.
-			base := d.opts.RetryBaseDelay << (i - 1)
+			base := retryBaseDelay << (i - 1)
 			delay := base/2 + time.Duration(rand.Int64N(int64(base)))
 			select {
 			case <-time.After(delay):

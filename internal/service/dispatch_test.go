@@ -72,18 +72,11 @@ func (f *fakeBackend) servedKeys() map[string]int {
 }
 
 // newTestDispatcher builds a dispatcher over the given backends with the
-// background prober disabled (tests drive ProbeOnce explicitly) and fast
-// failover timings.
+// background prober disabled (tests drive ProbeOnce explicitly).
 func newTestDispatcher(t *testing.T, opts DispatchOptions, urls ...string) (*Dispatcher, *httptest.Server) {
 	t.Helper()
 	if opts.ProbeInterval == 0 {
 		opts.ProbeInterval = -1
-	}
-	if opts.DialTimeout == 0 {
-		opts.DialTimeout = time.Second
-	}
-	if opts.RetryBaseDelay == 0 {
-		opts.RetryBaseDelay = time.Millisecond
 	}
 	d, err := NewDispatcher(urls, opts)
 	if err != nil {

@@ -422,12 +422,8 @@ func (run *compileRun) compile(nls []*netlist.Netlist, req *CompileRequest) (*Re
 	}
 	res.SpeedupVsMDR = flow.Speedup(mdr, dcs)
 	res.WireVsMDR = flow.WireRatio(mdr, dcs)
-	res.Routing = &route.Summary{}
-	for _, m := range mdr.PerMode {
-		res.Routing.Add(m.Routing.Stats)
-	}
-	res.Routing.Add(cmp.EdgeMatch.TRoute.Route.Stats)
-	res.Routing.Add(cmp.WireLen.TRoute.Route.Stats)
+	work := cmp.RouteWork()
+	res.Routing = &work
 
 	sp := tr.Start("bitstream")
 	sw := &SwitchInfo{

@@ -176,14 +176,10 @@ func RouteTunable(g *arch.Graph, tc *tunable.Circuit, lutSite, padSite []arch.Si
 			if act.Empty() {
 				continue
 			}
-			if n := g.Nodes[e.To]; n.Type == arch.NodeIPin {
-				onRing := n.X == 0 || n.Y == 0 || int(n.X) == g.Arch.Width+1 || int(n.Y) == g.Arch.Height+1
-				if !onRing {
-					res.PinActs[ni][e.To] = res.PinActs[ni][e.To].Union(act)
-				}
+			if n := g.Nodes[e.To]; n.Type == arch.NodeIPin && !g.Arch.OnRing(int(n.X), int(n.Y)) {
+				res.PinActs[ni][e.To] = res.PinActs[ni][e.To].Union(act)
 			}
-			bit := bitOfEdge(g, e)
-			if bit >= 0 {
+			if bit := g.EdgeBit(e.From, e.To); bit >= 0 {
 				res.BitModes[bit] = res.BitModes[bit].Union(act)
 			}
 			// Wire accounting: count the edge's target when it is a wire
@@ -228,19 +224,6 @@ func analyzeTree(tree route.Tree, sinkAct map[int32]mode.Set, nodeAct []mode.Set
 		nodeAct[node] = 0
 	}
 	return acts
-}
-
-// bitOfEdge finds the configuration bit of a directed RRG edge (-1 when
-// hardwired).
-func bitOfEdge(g *arch.Graph, e route.Edge) int32 {
-	tos := g.Edges(e.From)
-	bits := g.EdgeBits(e.From)
-	for i, to := range tos {
-		if to == e.To {
-			return bits[i]
-		}
-	}
-	return -1
 }
 
 // ReconfigBits returns the DCS reconfiguration cost in bits under the

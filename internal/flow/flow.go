@@ -59,9 +59,9 @@ type Config struct {
 	// degrades to a cold compile (counted in Stats.BaselineMisses).
 	Baseline string
 	// Cache, when non-nil, memoizes routing-resource graphs and placements
-	// across calls (see Cache), and — when backed by a persistent artifact
-	// store — across processes. Results are identical with or without it;
-	// sharing one Cache between concurrent jobs deduplicates their work.
+	// across calls in memory (see Cache); its persistent artifact store, if
+	// any, holds whole results only. Results are identical with or without
+	// it; sharing one Cache between concurrent jobs deduplicates their work.
 	Cache *Cache
 	// Obs, when non-nil, receives route and anneal work metrics (it is
 	// propagated into RouteOpts and every placement call). Trace, when

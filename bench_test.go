@@ -236,7 +236,11 @@ func BenchmarkEditRecompile(b *testing.B) {
 		b.Fatal(err)
 	}
 	key := codec.Sum([]byte("bench-baseline"))
-	cache.PutArtifact(key, flow.EncodeBaseline(flow.BuildBaseline(base, modes)))
+	data, err := flow.EncodeBaseline(flow.BuildBaseline(base, modes))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache.PutArtifact(key, data)
 	edited := editOneLUT(modes)
 
 	coldOnce := func() {

@@ -1,18 +1,15 @@
 package codec
 
 import (
-	"fmt"
 	"slices"
 
-	"repro/internal/logic"
 	"repro/internal/lutnet"
 	"repro/internal/netlist"
 )
 
-// Artifact kinds and format versions. A version covers both the byte
-// layout and the semantics of the algorithm producing the artifact: bump
-// it when either changes, and every stale store entry of that kind
-// becomes unreachable (its key hashes differently) instead of misread.
+// Encoding kinds and format versions. They only salt content hashes, so
+// bumping one moves every store key derived from such a hash (see the
+// package doc).
 const (
 	KindNetlist    = "netlist"
 	KindCircuit    = "circuit"
@@ -26,24 +23,9 @@ func (w *Writer) Header(kind string, version int) {
 	w.Int(version)
 }
 
-// Header decodes and checks an artifact header, failing the reader on a
-// kind or version mismatch.
-func (r *Reader) Header(kind string, version int) {
-	if got := r.String(); r.err == nil && got != kind {
-		r.fail("artifact kind %q, want %q", got, kind)
-	}
-	if got := r.Int(); r.err == nil && got != version {
-		r.fail("%s format version %d, want %d", kind, got, version)
-	}
-}
-
 func encodeSource(w *Writer, s lutnet.Source) {
 	w.Int(int(s.Kind))
 	w.Int(s.Idx)
-}
-
-func decodeSource(r *Reader) lutnet.Source {
-	return lutnet.Source{Kind: lutnet.SourceKind(r.Int()), Idx: r.Int()}
 }
 
 // EncodeCircuit renders the canonical encoding of a mapped LUT circuit.
@@ -75,39 +57,6 @@ func EncodeCircuit(c *lutnet.Circuit) []byte {
 		encodeSource(w, po.Src)
 	}
 	return w.Bytes()
-}
-
-// DecodeCircuit is the inverse of EncodeCircuit; the result is validated
-// structurally before being returned.
-func DecodeCircuit(data []byte) (*lutnet.Circuit, error) {
-	r := NewReader(data)
-	r.Header(KindCircuit, CircuitVersion)
-	c := &lutnet.Circuit{Name: r.String(), K: r.Int()}
-	for i, n := 0, r.Len(1); i < n; i++ {
-		c.PINames = append(c.PINames, r.String())
-	}
-	for i, n := 0, r.Len(1); i < n; i++ {
-		b := lutnet.Block{Name: r.String()}
-		b.TT = logic.TT{NumVars: r.Int(), Bits: r.Uvarint()}
-		for j, m := 0, r.Len(2); j < m; j++ {
-			b.Inputs = append(b.Inputs, decodeSource(r))
-		}
-		b.HasFF = r.Bool()
-		b.Init = r.Bool()
-		c.Blocks = append(c.Blocks, b)
-	}
-	for i, n := 0, r.Len(1); i < n; i++ {
-		po := lutnet.PO{Name: r.String()}
-		po.Src = decodeSource(r)
-		c.POs = append(c.POs, po)
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("codec: decoded circuit invalid: %w", err)
-	}
-	return c, nil
 }
 
 // HashCircuit returns the content hash of a mapped circuit — the identity

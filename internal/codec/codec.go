@@ -2,22 +2,22 @@
 // behind the persistent artifact store's keys: netlists and mapped
 // circuits encode to a canonical byte string, and the SHA-256 of a
 // canonical encoding is the product's *content hash* — the identity used
-// as a cache key within and across processes. Two structurally equal values always produce the same
-// bytes and therefore the same hash, so a cache keyed by content hash
-// deduplicates work wherever the same inputs recur, regardless of which
-// process (or machine) computed them first.
+// as a cache key within and across processes. Two structurally equal
+// values always produce the same bytes and therefore the same hash, so a
+// cache keyed by content hash deduplicates work wherever the same inputs
+// recur, regardless of which process (or machine) computed them first.
 //
-// Encodings are self-describing only to the extent the cache needs: each
-// artifact opens with its kind tag and format version, and decoding
-// rejects a mismatch so a store written by an older format is treated as
-// a miss, never misread. The format version of an artifact kind MUST be
-// bumped whenever either the encoding or the semantics of the producing
-// algorithm changes — the version is part of the hash, so a bump silently
-// invalidates every stale on-disk entry.
+// The encoding is written and hashed, never read back: every stored
+// payload (group results, compile results, ECO baselines) is JSON, and
+// this package only derives the keys they are stored under. Each
+// encoding opens with its kind tag and format version, which salt the
+// hash. KindCircuit/CircuitVersion and KindNetlist/NetlistVersion
+// therefore only salt content hashes, but every store key is derived
+// from such a hash: bumping one moves every key and orphans every
+// stored entry.
 //
-// The primitives (Writer, Reader) are exported so higher layers derive
-// their store keys (group results, compile results, ECO baselines) and,
-// for the baseline, its payload from the same vocabulary.
+// Writer is exported so higher layers derive their store keys (group
+// results, compile results, ECO baselines) from the same vocabulary.
 package codec
 
 import (
@@ -109,134 +109,4 @@ func (w *Writer) Ints(xs []int) {
 	for _, x := range xs {
 		w.Int(x)
 	}
-}
-
-// Reader decodes a Writer encoding. Errors are sticky: after the first
-// malformed read every subsequent read returns a zero value, and Err
-// reports the failure — callers validate once at the end.
-type Reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewReader returns a Reader over an encoding.
-func NewReader(data []byte) *Reader { return &Reader{buf: data} }
-
-// Err returns the first decoding error, if any.
-func (r *Reader) Err() error { return r.err }
-
-func (r *Reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("codec: "+format, args...)
-	}
-}
-
-// Remaining returns the number of undecoded bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
-// Uvarint decodes an unsigned varint.
-func (r *Reader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	x, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("truncated uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return x
-}
-
-// Varint decodes a signed varint.
-func (r *Reader) Varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	x, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("truncated varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return x
-}
-
-// Int decodes a signed integer.
-func (r *Reader) Int() int { return int(r.Varint()) }
-
-// Bool decodes a boolean.
-func (r *Reader) Bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off >= len(r.buf) {
-		r.fail("truncated bool at offset %d", r.off)
-		return false
-	}
-	b := r.buf[r.off]
-	r.off++
-	if b > 1 {
-		r.fail("invalid bool byte %d at offset %d", b, r.off-1)
-		return false
-	}
-	return b == 1
-}
-
-// Float64 decodes an eight-byte IEEE-754 bit pattern.
-func (r *Reader) Float64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.buf) {
-		r.fail("truncated float64 at offset %d", r.off)
-		return 0
-	}
-	bits := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return math.Float64frombits(bits)
-}
-
-// String decodes a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Len(1)
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// Ints decodes a length-prefixed signed-integer slice.
-func (r *Reader) Ints() []int {
-	n := r.Len(1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	xs := make([]int, n)
-	for i := range xs {
-		xs[i] = r.Int()
-	}
-	return xs
-}
-
-// Len decodes a length prefix and bounds-checks it against the remaining
-// bytes, assuming each pending element occupies at least minElemBytes —
-// the guard that keeps a corrupt length field from provoking a huge
-// allocation before the truncation is even noticed.
-func (r *Reader) Len(minElemBytes int) int {
-	n := r.Uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if minElemBytes < 1 {
-		minElemBytes = 1
-	}
-	if n > uint64(r.Remaining()/minElemBytes) {
-		r.fail("length %d exceeds remaining %d bytes", n, r.Remaining())
-		return 0
-	}
-	return int(n)
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/arch"
@@ -17,13 +18,17 @@ import (
 // DCS objectives. It is written next to every persistent compile result
 // (see service.CompileNetlistsEnv) under a key derived from the request
 // identity, so "recompile this edit against yesterday's run" is one key
-// away.
+// away. The payload is the Baseline's JSON, the encoding of every stored
+// result.
 const (
-	// KindBaseline is the artifact kind tag of an encoded Baseline.
+	// KindBaseline is the artifact kind tag of a baseline's store key.
 	KindBaseline = "eco-baseline"
 	// BaselineVersion covers the encoding and the delta-path semantics
 	// that consume it (diff matching, transfer rules, warm routing).
-	BaselineVersion = 1
+	//
+	// v2: the payload is JSON instead of a hand-written binary encoding,
+	// and each mode stores its circuit itself, not its hash and encoding.
+	BaselineVersion = 2
 )
 
 // BaselineNet is one net's baseline routing, keyed by the net's canonical
@@ -36,12 +41,9 @@ type BaselineNet struct {
 
 // BaselineMode is one mode's separate (MDR) implementation.
 type BaselineMode struct {
-	// CircuitHash identifies the mapped circuit; a delta compile whose
-	// mode hashes identically reuses Sites verbatim without diffing.
-	CircuitHash codec.Hash
-	// Circuit is the codec.EncodeCircuit form, decoded only when the new
-	// version differs and a structural diff is needed.
-	Circuit []byte
+	// Circuit is the mapped circuit the mode implemented; a delta compile
+	// whose mode hashes identically reuses Sites verbatim without diffing.
+	Circuit *lutnet.Circuit
 	// Sites is the placement in the place.FromCircuit cell encoding
 	// (blocks, then PIs, then POs); Cost its annealing cost.
 	Sites []arch.Site
@@ -83,13 +85,11 @@ func BuildBaseline(cmp *Comparison, modes []*lutnet.Circuit) *Baseline {
 		MinW: cmp.Region.MinW,
 	}
 	for m, c := range modes {
-		enc := codec.EncodeCircuit(c)
 		pm := &cmp.MDR.PerMode[m]
 		bm := BaselineMode{
-			CircuitHash: codec.Sum(enc),
-			Circuit:     enc,
-			Sites:       pm.Placement.SiteOf,
-			Cost:        pm.Placement.Cost,
+			Circuit: c,
+			Sites:   pm.Placement.SiteOf,
+			Cost:    pm.Placement.Cost,
 		}
 		for i := range pm.Nets {
 			bm.Nets = append(bm.Nets, BaselineNet{
@@ -104,95 +104,48 @@ func BuildBaseline(cmp *Comparison, modes []*lutnet.Circuit) *Baseline {
 	return b
 }
 
-func encodeSites(w *codec.Writer, sites []arch.Site) {
-	w.Uvarint(uint64(len(sites)))
-	for _, s := range sites {
-		w.Int(s.X)
-		w.Int(s.Y)
-		w.Int(s.Sub)
-		w.Bool(s.IsIO)
-	}
-}
+// EncodeBaseline renders the stored form of a baseline artifact. It fails
+// only on a value JSON cannot hold (a NaN or infinite cost), and then the
+// baseline is not stored.
+func EncodeBaseline(b *Baseline) ([]byte, error) { return json.Marshal(b) }
 
-func decodeSites(r *codec.Reader) []arch.Site {
-	n := r.Len(4)
-	sites := make([]arch.Site, 0, n)
-	for i := 0; i < n; i++ {
-		s := arch.Site{X: r.Int(), Y: r.Int(), Sub: r.Int()}
-		s.IsIO = r.Bool()
-		sites = append(sites, s)
+// DecodeBaseline reads a stored baseline and rejects one no cold compile
+// under cfg could have produced: a missing or invalid circuit, or a
+// region SizeRegion and the retry ladder would not choose for the stored
+// circuits. The region is checked before any graph is built on it, so a
+// corrupt entry cannot provoke a huge or malformed graph. Whether the
+// sites and trees fit the circuits and the graph is left to the delta
+// path, which degrades to a cold compile on any mismatch. A baseline a
+// delta compile stored for an edit that moved its region's side is
+// rejected too, and its next delta compiles cold.
+func DecodeBaseline(data []byte, cfg Config) (*Baseline, error) {
+	var b Baseline
+	if err := json.Unmarshal(data, &b); err != nil {
+		return nil, fmt.Errorf("flow: baseline: %w", err)
 	}
-	return sites
-}
-
-// EncodeBaseline renders the canonical encoding of a baseline artifact.
-func EncodeBaseline(b *Baseline) []byte {
-	w := codec.NewWriter()
-	w.Header(KindBaseline, BaselineVersion)
-	w.Int(b.Side)
-	w.Int(b.W)
-	w.Int(b.MinW)
-	w.Uvarint(uint64(len(b.Modes)))
-	for i := range b.Modes {
-		bm := &b.Modes[i]
-		w.String(bm.CircuitHash.Hex())
-		w.String(string(bm.Circuit))
-		encodeSites(w, bm.Sites)
-		w.Float64(bm.Cost)
-		w.Uvarint(uint64(len(bm.Nets)))
-		for j := range bm.Nets {
-			bn := &bm.Nets[j]
-			w.String(bn.Name)
-			w.Uvarint(uint64(len(bn.Edges)))
-			for _, e := range bn.Edges {
-				w.Int(int(e.From))
-				w.Int(int(e.To))
-			}
+	if len(b.Modes) == 0 {
+		return nil, fmt.Errorf("flow: baseline has no modes")
+	}
+	circuits := make([]*lutnet.Circuit, len(b.Modes))
+	for m := range b.Modes {
+		c := b.Modes[m].Circuit
+		if c == nil {
+			return nil, fmt.Errorf("flow: baseline mode %d has no circuit", m)
 		}
-	}
-	for obj := range b.Merges {
-		w.Uvarint(uint64(len(b.Merges[obj].ModeSites)))
-		for _, ms := range b.Merges[obj].ModeSites {
-			encodeSites(w, ms)
+		if err := c.Validate(); err != nil {
+			return nil, fmt.Errorf("flow: baseline mode %d: %w", m, err)
 		}
+		circuits[m] = c
 	}
-	return w.Bytes()
-}
-
-// DecodeBaseline is the inverse of EncodeBaseline. Structural validation
-// (do the sites fit the circuits? do the trees fit the graph?) is left to
-// the delta path, which degrades to a cold compile on any mismatch.
-func DecodeBaseline(data []byte) (*Baseline, error) {
-	r := codec.NewReader(data)
-	r.Header(KindBaseline, BaselineVersion)
-	b := &Baseline{Side: r.Int(), W: r.Int(), MinW: r.Int()}
-	for i, n := 0, r.Len(4); i < n; i++ {
-		var bm BaselineMode
-		h, err := codec.ParseHash(r.String())
-		if err != nil {
-			return nil, fmt.Errorf("flow: baseline mode hash: %w", err)
-		}
-		bm.CircuitHash = h
-		bm.Circuit = []byte(r.String())
-		bm.Sites = decodeSites(r)
-		bm.Cost = r.Float64()
-		for j, m := 0, r.Len(2); j < m; j++ {
-			bn := BaselineNet{Name: r.String()}
-			for k, e := 0, r.Len(2); k < e; k++ {
-				bn.Edges = append(bn.Edges, route.Edge{From: int32(r.Int()), To: int32(r.Int())})
-			}
-			bm.Nets = append(bm.Nets, bn)
-		}
-		b.Modes = append(b.Modes, bm)
+	cfg = cfg.filled()
+	if b.MinW < minSearchW || b.MinW > maxSearchW {
+		return nil, fmt.Errorf("flow: baseline minimum channel width %d outside [%d, %d]", b.MinW, minSearchW, maxSearchW)
 	}
-	for obj := range b.Merges {
-		// A mode's site vector can be empty: one byte, its length.
-		for i, n := 0, r.Len(1); i < n; i++ {
-			b.Merges[obj].ModeSites = append(b.Merges[obj].ModeSites, decodeSites(r))
-		}
+	if w0 := relaxedW(b.MinW, cfg.RelaxW); b.W < w0 || b.W > w0+2*ladderWidenings {
+		return nil, fmt.Errorf("flow: baseline channel width %d outside [%d, %d]", b.W, w0, w0+2*ladderWidenings)
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
+	if side := regionSide(circuits, cfg.RelaxArea); b.Side != side {
+		return nil, fmt.Errorf("flow: baseline region side %d, its circuits size to %d", b.Side, side)
 	}
-	return b, nil
+	return &b, nil
 }

@@ -28,8 +28,9 @@ import (
 // give byte-identical results) but are a different
 // trajectory than a cold compile of the same input — the QoR difference
 // is bounded by the equivalence suite in delta_test.go. Any problem with
-// the baseline — missing from the store, corrupt, wrong mode count,
-// sites that no longer fit — degrades to a cold compile, counted in
+// the baseline — missing from the store, corrupt, a region no cold
+// compile would choose, wrong mode count, sites that no longer fit —
+// degrades to a cold compile, counted in
 // Stats.BaselineMisses; a baseline can never turn a compilable input
 // into a failure.
 
@@ -75,7 +76,7 @@ func loadBaseline(cfg Config) (*Baseline, error) {
 	if !ok {
 		return nil, fmt.Errorf("flow: baseline %s not in store", cfg.Baseline)
 	}
-	return DecodeBaseline(data)
+	return DecodeBaseline(data, cfg)
 }
 
 // runComparisonDelta implements the modes against a baseline. Any error
@@ -97,13 +98,9 @@ func runComparisonDelta(name string, modes []*lutnet.Circuit, cfg Config) (*Comp
 	oldCs := make([]*lutnet.Circuit, len(modes))
 	contentOnly := true
 	for m, c := range modes {
-		bm := &base.Modes[m]
-		if codec.HashCircuit(c) == bm.CircuitHash {
+		oldC := base.Modes[m].Circuit
+		if codec.HashCircuit(c) == codec.HashCircuit(oldC) {
 			continue // unchanged: nil diff means identity
-		}
-		oldC, derr := codec.DecodeCircuit(bm.Circuit)
-		if derr != nil {
-			return nil, fmt.Errorf("flow: baseline mode %d: %w", m, derr)
 		}
 		oldCs[m] = oldC
 		diffs[m] = codec.DiffCircuits(oldC, c)

@@ -87,42 +87,69 @@ func newDeltaFixture(t *testing.T) *deltaFixture {
 		t.Fatal(err)
 	}
 	key := codec.Sum([]byte("delta-test-baseline"))
-	cfg.Cache.PutArtifact(key, EncodeBaseline(BuildBaseline(cold, mapped)))
+	cfg.Cache.PutArtifact(key, mustEncodeBaseline(t, BuildBaseline(cold, mapped)))
 	return &deltaFixture{cfg: cfg, mapped: mapped, cold: cold, key: key}
 }
 
-// TestBaselineRoundTrip: the artifact encoding is lossless.
+func mustEncodeBaseline(t testing.TB, b *Baseline) []byte {
+	t.Helper()
+	data, err := EncodeBaseline(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestBaselineRoundTrip: the artifact encoding is lossless, down to
+// each stored circuit's content hash.
 func TestBaselineRoundTrip(t *testing.T) {
 	fx := newDeltaFixture(t)
 	b := BuildBaseline(fx.cold, fx.mapped)
-	dec, err := DecodeBaseline(EncodeBaseline(b))
+	dec, err := DecodeBaseline(mustEncodeBaseline(t, b), fx.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(b, dec) {
 		t.Fatal("baseline artifact did not round-trip")
 	}
-	if _, err := DecodeBaseline([]byte("garbage")); err == nil {
+	for m := range b.Modes {
+		if codec.HashCircuit(dec.Modes[m].Circuit) != codec.HashCircuit(fx.mapped[m]) {
+			t.Fatalf("mode %d circuit changed its content hash", m)
+		}
+	}
+	if _, err := DecodeBaseline([]byte("garbage"), fx.cfg); err == nil {
 		t.Fatal("garbage decoded as a baseline")
 	}
 }
 
 // FuzzDecodeBaseline hardens the eco-baseline decoder, which reads bytes
-// from the artifact store and the remote tier: it must never panic, and
-// every baseline it accepts must encode to bytes that decode back to the
-// same baseline, cost bits included. Its seeds, under
-// testdata/fuzz/FuzzDecodeBaseline, are the encodings of the delta
-// fixture's baseline and of a one-mode baseline small enough to mutate
-// well, plus TestBaselineRoundTrip's garbage; plain go test replays
+// from the artifact store and the remote tier: it must never panic,
+// every baseline it accepts must have valid circuits and a region whose
+// graph builds, and it must encode to bytes that decode back to the same
+// baseline, cost bits included. Its seeds, under
+// testdata/fuzz/FuzzDecodeBaseline, are the delta fixture's baseline, a
+// hand-made one-mode baseline small enough to mutate well (and a copy
+// with an empty merge site vector), TestBaselineRoundTrip's garbage, and
+// TestDeltaFallsBackCold's three bad baselines; plain go test replays
 // them. Explore further with
 // go test -run '^$' -fuzz FuzzDecodeBaseline ./internal/flow.
 func FuzzDecodeBaseline(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBaseline(data)
+		b, err := DecodeBaseline(data, Config{})
 		if err != nil {
 			return
 		}
-		got, err := DecodeBaseline(EncodeBaseline(b))
+		for m := range b.Modes {
+			if err := b.Modes[m].Circuit.Validate(); err != nil {
+				t.Fatalf("accepted mode %d has an invalid circuit: %v", m, err)
+			}
+		}
+		arch.BuildGraph(arch.New(b.Side, b.Side, b.W)) // must not panic
+		enc, err := EncodeBaseline(b)
+		if err != nil {
+			t.Fatalf("accepted baseline does not encode: %v", err)
+		}
+		got, err := DecodeBaseline(enc, Config{})
 		if err != nil {
 			t.Fatalf("re-encoded baseline does not decode: %v", err)
 		}
@@ -133,7 +160,6 @@ func FuzzDecodeBaseline(f *testing.F) {
 			if math.Float64bits(got.Modes[m].Cost) != math.Float64bits(b.Modes[m].Cost) {
 				t.Fatalf("mode %d cost %v decoded as %v", m, b.Modes[m].Cost, got.Modes[m].Cost)
 			}
-			got.Modes[m].Cost, b.Modes[m].Cost = 0, 0 // NaN is unequal to itself
 		}
 		if !reflect.DeepEqual(got, b) {
 			t.Fatalf("baseline did not round-trip:\n%+v\n%+v", b, got)
@@ -259,8 +285,11 @@ func TestDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// TestDeltaFallsBackCold: a missing and a corrupt baseline both degrade
-// to a cold compile — identical to a baseline-free run — and are counted.
+// TestDeltaFallsBackCold: a missing baseline, a corrupt one, and ones no
+// cold compile could have stored (a negative or absurd channel width, an
+// invalid circuit) all degrade to a cold compile — identical to a
+// baseline-free run — and are counted. A bad region is rejected before
+// any graph is built on it.
 func TestDeltaFallsBackCold(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -300,19 +329,61 @@ func TestDeltaFallsBackCold(t *testing.T) {
 		t.Fatalf("corrupt baseline not reported: %+v", corrupt.Delta)
 	}
 
-	if got := cfg.Cache.Stats().BaselineMisses; got != 2 {
-		t.Fatalf("BaselineMisses = %d, want 2", got)
-	}
 	// The fallback is the cold path: same placements as the baseline-free
 	// run (placements come from the shared cache, but routing and DCS are
 	// recomputed identically).
-	for m := range cold.MDR.PerMode {
-		if !reflect.DeepEqual(cold.MDR.PerMode[m].Routing.Trees, corrupt.MDR.PerMode[m].Routing.Trees) {
-			t.Fatalf("fallback mode %d routing differs from cold", m)
+	sameAsCold := func(name string, fb *Comparison) {
+		t.Helper()
+		for m := range cold.MDR.PerMode {
+			if !reflect.DeepEqual(cold.MDR.PerMode[m].Routing.Trees, fb.MDR.PerMode[m].Routing.Trees) {
+				t.Fatalf("%s: fallback mode %d routing differs from cold", name, m)
+			}
+		}
+		if cold.WireLen.ReconfigBits != fb.WireLen.ReconfigBits {
+			t.Fatalf("%s: fallback DCS differs from cold", name)
 		}
 	}
-	if cold.WireLen.ReconfigBits != corrupt.WireLen.ReconfigBits {
-		t.Fatal("fallback DCS differs from cold")
+	sameAsCold("corrupt", corrupt)
+
+	// Baselines whose JSON parses but that no cold compile could have
+	// stored.
+	// The cold run built every graph a fallback needs, so the count of
+	// built graphs shows whether the bad region reached arch.BuildGraph.
+	graphs := cfg.Cache.Stats().GraphBuilds
+	for _, tc := range []struct {
+		name string
+		bad  func(b *Baseline)
+	}{
+		{"w-minus-2", func(b *Baseline) { b.W = -2 }},
+		{"absurd-w", func(b *Baseline) { b.W = 1 << 40 }},
+		{"invalid-circuit", func(b *Baseline) {
+			c := editCircuit(b.Modes[0].Circuit, 0, 0) // a copy: mapped[0] stays intact
+			i := slices.IndexFunc(c.Blocks, func(b lutnet.Block) bool { return len(b.Inputs) > 0 })
+			c.Blocks[i].Inputs[0] = lutnet.Source{Kind: lutnet.SrcBlock, Idx: len(c.Blocks)}
+			b.Modes[0].Circuit = c
+		}},
+	} {
+		b := BuildBaseline(cold, mapped)
+		tc.bad(b)
+		key := codec.Sum([]byte("bad-baseline-" + tc.name))
+		cfg.Cache.PutArtifact(key, mustEncodeBaseline(t, b))
+		bcfg := cfg
+		bcfg.Baseline = key.Hex()
+		bad, err := RunComparison(tc.name, mapped, bcfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if bad.Delta == nil || !bad.Delta.BaselineMiss || bad.Delta.UsedBaseline {
+			t.Fatalf("%s: bad baseline not reported: %+v", tc.name, bad.Delta)
+		}
+		sameAsCold(tc.name, bad)
+	}
+	if got := cfg.Cache.Stats().GraphBuilds; got != graphs {
+		t.Fatalf("bad baselines built %d graphs", got-graphs)
+	}
+
+	if got := cfg.Cache.Stats().BaselineMisses; got != 5 {
+		t.Fatalf("BaselineMisses = %d, want 5", got)
 	}
 }
 
@@ -394,7 +465,7 @@ func TestDeltaContentOnly(t *testing.T) {
 		ms := b.Merges[merge.WireLength].ModeSites
 		ms[tc.mode] = tc.bad(ms[tc.mode])
 		key := codec.Sum([]byte("delta-test-" + tc.name))
-		fx.cfg.Cache.PutArtifact(key, EncodeBaseline(b))
+		fx.cfg.Cache.PutArtifact(key, mustEncodeBaseline(t, b))
 		bcfg := fx.cfg
 		bcfg.Baseline = key.Hex()
 		bcmp, err := RunComparison("delta", edited, bcfg)

@@ -157,19 +157,10 @@ type Region struct {
 func SizeRegion(modes []*lutnet.Circuit, cfg Config) (*Region, error) {
 	cfg = cfg.filled()
 	defer cfg.Trace.Start("size").End()
-	maxBlocks, maxIO := 0, 0
-	for _, c := range modes {
-		if c.NumBlocks() > maxBlocks {
-			maxBlocks = c.NumBlocks()
-		}
-		if io := c.NumPIs() + len(c.POs); io > maxIO {
-			maxIO = io
-		}
-	}
-	if maxBlocks == 0 {
+	side := regionSide(modes, cfg.RelaxArea)
+	if side == 0 {
 		return nil, fmt.Errorf("flow: empty modes")
 	}
-	side := arch.MinGridForBlocks(maxBlocks, maxIO, cfg.RelaxArea)
 
 	// Find the minimum channel width by bisection: W is routable when every
 	// mode places and routes on the region. Placements do not depend on the
@@ -195,14 +186,14 @@ func SizeRegion(modes []*lutnet.Circuit, cfg Config) (*Region, error) {
 		}
 		return true
 	}
-	lo, hi := 2, 4
+	lo, hi := minSearchW, 2*minSearchW
 	for !routable(hi) {
 		if err := cfg.ctxErr(); err != nil {
 			return nil, err
 		}
 		lo = hi + 1
 		hi *= 2
-		if hi > 128 {
+		if hi > maxSearchW {
 			return nil, fmt.Errorf("flow: unroutable even at channel width %d", hi)
 		}
 	}
@@ -220,11 +211,35 @@ func SizeRegion(modes []*lutnet.Circuit, cfg Config) (*Region, error) {
 		return nil, err
 	}
 	minW := hi
-	w := int(float64(minW)*cfg.RelaxW + 0.999)
-	region := cfg.NewRegion(side, w)
+	region := cfg.NewRegion(side, relaxedW(minW, cfg.RelaxW))
 	region.MinW = minW
 	return region, nil
 }
+
+// SizeRegion searches channel widths in [minSearchW, maxSearchW].
+const (
+	minSearchW = 2
+	maxSearchW = 128
+)
+
+// regionSide is the logic-array side SizeRegion chooses for modes: the
+// smallest square that fits the biggest mode's blocks and I/O, its area
+// relaxed by relaxArea. It is 0 when no mode has a block.
+func regionSide(modes []*lutnet.Circuit, relaxArea float64) int {
+	maxBlocks, maxIO := 0, 0
+	for _, c := range modes {
+		maxBlocks = max(maxBlocks, c.NumBlocks())
+		maxIO = max(maxIO, c.NumPIs()+len(c.POs))
+	}
+	if maxBlocks == 0 {
+		return 0
+	}
+	return arch.MinGridForBlocks(maxBlocks, maxIO, relaxArea)
+}
+
+// relaxedW is the channel width SizeRegion chooses for the minimum
+// routable width minW: relaxW above it, rounded up.
+func relaxedW(minW int, relaxW float64) int { return int(float64(minW)*relaxW + 0.999) }
 
 // buildGraph builds (or, with a Cache, fetches) the RRG for a side×side
 // region of channel width w.

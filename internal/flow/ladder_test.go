@@ -441,8 +441,7 @@ func TestLadderWidthByteIdentical(t *testing.T) {
 		if overlap := attemptsOverlap(evs); overlap != (procs > 1) {
 			t.Fatalf("GOMAXPROCS=%d: attempts overlapping in time = %v", procs, overlap)
 		}
-		var buf []byte
-		buf = append(buf, EncodeBaseline(BuildBaseline(cmp, circuits))...)
+		buf := mustEncodeBaseline(t, BuildBaseline(cmp, circuits))
 		buf = fmt.Appendf(buf, "%d %d %d %d %v %v %d %d",
 			cmp.Region.Arch.W, cmp.Region.MinW, cmp.MDR.ReconfigBits, cmp.MDR.DiffRoutingBits,
 			cmp.EdgeMatch.AvgWire, cmp.WireLen.AvgWire,

@@ -161,12 +161,6 @@ func Reconstruct(name string, nodes []*Node, outputs []Output) (*Netlist, error)
 	return n, nil
 }
 
-// NodeByName returns the ID of the node with the given name.
-func (n *Netlist) NodeByName(name string) (int, bool) {
-	id, ok := n.byName[name]
-	return id, ok
-}
-
 // Inputs returns the IDs of the primary inputs in creation order.
 func (n *Netlist) Inputs() []int {
 	var ids []int

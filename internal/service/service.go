@@ -261,7 +261,10 @@ func RequestKey(nls []*netlist.Netlist, req *CompileRequest) codec.Hash {
 //
 // v5: a delta compile of an edit that changes LUT contents only inherits
 // the baseline's combined placements instead of quenching them.
-const resultVersion = 5
+//
+// v6: baselines moved to flow.BaselineVersion 2, so the baseline key a
+// stored v5 result names no longer decodes (results unchanged).
+const resultVersion = 6
 
 // resultKey derives the store key of a whole compile result from the
 // request's content identity (its RequestKey).
@@ -452,9 +455,11 @@ func (run *compileRun) compile(nls []*netlist.Netlist, req *CompileRequest) (*Re
 		// keyed by the request identity, and hand the key back — the next
 		// edit of these modes passes it as BaselineKey to compile as a
 		// delta against today's run.
-		bkey := flow.BaselineArtifactKey(run.key)
-		cache.PutArtifact(bkey, flow.EncodeBaseline(flow.BuildBaseline(cmp, mapped)))
-		res.BaselineKey = bkey.Hex()
+		if data, berr := flow.EncodeBaseline(flow.BuildBaseline(cmp, mapped)); berr == nil {
+			bkey := flow.BaselineArtifactKey(run.key)
+			cache.PutArtifact(bkey, data)
+			res.BaselineKey = bkey.Hex()
+		}
 		// A baseline-miss fallback is transient state (the artifact may
 		// exist by the next request); persisting it would pin the miss
 		// forever. Cache only results whose delta disposition is stable.

@@ -362,15 +362,15 @@ func BenchmarkAreaSavings(b *testing.B) {
 func BenchmarkAblationMergeStrategies(b *testing.B) {
 	modes := miniModes(b)
 	cfg := benchConfig()
-	region, err := flow.SizeRegion(modes, cfg)
+	sized, err := flow.SizeRegion(modes, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	region = flow.Config{}.NewRegion(region.Arch.Width, region.Arch.W+4)
 	b.ResetTimer()
 	var id, wl *flow.DCSResult
 	for i := 0; i < b.N; i++ {
-		id, err = flow.RunDCSIdentity("abl", modes, region, cfg)
+		var region *flow.Region
+		id, region, err = flow.RunDCSIdentity("abl", modes, sized, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -388,19 +388,7 @@ func BenchmarkAblationMergeStrategies(b *testing.B) {
 // reconfigured (predicted 4×–20× by the paper).
 func BenchmarkFramesOutlook(b *testing.B) {
 	benchComparison(b, func(b *testing.B, cmp *flow.Comparison) {
-		onCount := map[int32]int{}
-		for _, m := range cmp.MDR.PerMode {
-			for bit := range m.UsedBits {
-				onCount[bit]++
-			}
-		}
-		var diffBits []int32
-		for bit, c := range onCount {
-			if c != len(cmp.MDR.PerMode) {
-				diffBits = append(diffBits, bit)
-			}
-		}
-		rep := frames.Analyze(cmp.Region.Graph, 64, diffBits, cmp.WireLen.TRoute.BitModes, 2)
+		rep := frames.Analyze(cmp.Region.Graph, 64, cmp.MDR.DiffBits(), cmp.WireLen.TRoute.BitModes, 2)
 		b.ReportMetric(float64(rep.TotalFrames), "frames-total")
 		b.ReportMetric(float64(rep.ParamFrames), "frames-param")
 		b.ReportMetric(rep.SpeedupDCS, "frame-speedup")

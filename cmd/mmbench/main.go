@@ -92,6 +92,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		tempStore = tmp
 		defer os.RemoveAll(tmp)
 		*cachedir = tmp
 	}
@@ -148,9 +149,10 @@ func main() {
 		fmt.Println()
 		printArea(suites, sc)
 		fmt.Println()
-		printAblation(suites, sc)
+		cmps := firstComparisons(suites, sc)
+		printAblation(suites, sc, cmps)
 		fmt.Println()
-		printFrames(suites, sc)
+		printFrames(suites, cmps)
 	case "fig5":
 		experiments.PrintFig5(os.Stdout, experiments.Fig5(results))
 	case "fig6":
@@ -160,9 +162,9 @@ func main() {
 	case "area":
 		printArea(suites, sc)
 	case "ablation":
-		printAblation(suites, sc)
+		printAblation(suites, sc, firstComparisons(suites, sc))
 	case "frames":
-		printFrames(suites, sc)
+		printFrames(suites, firstComparisons(suites, sc))
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
 	}
@@ -237,30 +239,40 @@ func printArea(suites []*experiments.Suite, sc experiments.Scale) {
 	experiments.PrintArea(os.Stdout, rows, c, g, ratio)
 }
 
-func printAblation(suites []*experiments.Suite, sc experiments.Scale) {
-	for _, s := range suites {
-		a, err := experiments.RunAblation(s, sc)
-		if err != nil {
+// firstComparisons runs each suite's first-group comparison once, for
+// the ablations and the frame outlook to share.
+func firstComparisons(suites []*experiments.Suite, sc experiments.Scale) []*flow.Comparison {
+	cmps := make([]*flow.Comparison, len(suites))
+	for i, s := range suites {
+		var err error
+		if cmps[i], err = experiments.FirstComparison(s, sc); err != nil {
 			fatal(err)
 		}
-		experiments.PrintAblation(os.Stdout, a)
 	}
-	r, err := experiments.RunRelaxAblation(suites[0], sc)
+	return cmps
+}
+
+func printAblation(suites []*experiments.Suite, sc experiments.Scale, cmps []*flow.Comparison) {
+	var relaxed *experiments.GroupResult
+	for i, s := range suites {
+		a := experiments.RunAblation(s, sc, cmps[i])
+		experiments.PrintAblation(os.Stdout, a)
+		if i == 0 {
+			relaxed = a.Group
+		}
+	}
+	tight, err := experiments.RunRelaxAblation(suites[0], sc)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("Relaxation ablation (RegExp group 0): relax=1.2 speedup %.2fx wire %.0f%%; relax=1.0 speedup %.2fx wire %.0f%%\n",
-		r.RelaxedSpeedup, 100*r.RelaxedWire, r.TightSpeedup, 100*r.TightWire)
+		relaxed.SpeedupWL, 100*relaxed.WireWL, tight.SpeedupWL, 100*tight.WireWL)
 }
 
-func printFrames(suites []*experiments.Suite, sc experiments.Scale) {
+func printFrames(suites []*experiments.Suite, cmps []*flow.Comparison) {
 	var rows []*experiments.FrameResult
-	for _, s := range suites {
-		r, err := experiments.RunFrames(s, sc, 64)
-		if err != nil {
-			fatal(err)
-		}
-		rows = append(rows, r)
+	for i, s := range suites {
+		rows = append(rows, experiments.RunFrames(s, cmps[i], 64))
 	}
 	experiments.PrintFrames(os.Stdout, rows)
 }
@@ -268,7 +280,13 @@ func printFrames(suites []*experiments.Suite, sc experiments.Scale) {
 // logger carries every stderr line; main replaces it before any output.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
+// tempStore is main's -remotestore temporary store; fatal removes it.
+var tempStore string
+
 func fatal(err error) {
 	logger.Error("fatal", "err", err)
+	if tempStore != "" {
+		os.RemoveAll(tempStore)
+	}
 	os.Exit(1)
 }

@@ -45,6 +45,32 @@ func BestStart(costs []float64, seeds []int64) int {
 	return best
 }
 
+// MultiStart anneals starts runs one after another (0 or 1 is a single
+// run), run i seeded seed + i*StartSeedStride, and returns the state
+// BestStart picks. newRun builds a run's initial state from its rng and
+// sizes its schedule. Only the best state so far is held. A run cut
+// short by its Config.Ctx ends the loop with the context's error.
+func MultiStart[M Mover](seed int64, starts int, newRun func(rng *rand.Rand) (M, Config, error)) (M, error) {
+	var best M
+	bestCost, bestSeed := 0.0, int64(0)
+	for i := 0; i < max(starts, 1); i++ {
+		s := seed + int64(i)*StartSeedStride
+		rng := rand.New(rand.NewSource(s))
+		mv, cfg, err := newRun(rng)
+		if err != nil {
+			return best, err
+		}
+		Run(mv, cfg, rng)
+		if cfg.canceled() {
+			return best, cfg.Ctx.Err()
+		}
+		if c := mv.Cost(); i == 0 || BestStart([]float64{bestCost, c}, []int64{bestSeed, s}) == 1 {
+			best, bestCost, bestSeed = mv, c, s
+		}
+	}
+	return best, nil
+}
+
 // runBatched is the annealing loop over the batch protocol, mirroring the
 // router's commit protocol: per batch, each slot in turn draws its
 // proposal and acceptance uniform (so the rng sequence depends on no

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/gen/firgen"
-	"repro/internal/merge"
 	"repro/internal/netlist"
 )
 
@@ -79,111 +78,52 @@ func FIRGenericRatio(sc Scale) (constant, generic int, ratio float64, err error)
 	return constant, generic, float64(constant) / float64(generic), nil
 }
 
-// AblationResult compares merge strategies on one multi-mode pair.
+// AblationResult sets the identity merge (no combined placement) against
+// the edge-matching and wire-length merges of a suite's first group.
 type AblationResult struct {
-	Name string
-	// Reconfiguration bits per strategy.
-	IdentityBits  int
-	EdgeMatchBits int
-	WireLenBits   int
-	// Wirelength ratio vs MDR per strategy.
-	IdentityWire  float64
-	EdgeMatchWire float64
-	WireLenWire   float64
-	// Diff decomposition (§IV-C1): total speed-up = RegionFactor ×
-	// MergeFactor.
-	RegionFactor float64 // MDR routing bits / differing routing bits
-	MergeFactor  float64 // differing routing bits / parameterised bits (WL)
+	Group *GroupResult // the group's comparison, as the Fig. 5 sweep has it
+	// IdentityW is the channel width the identity merge routed on, at
+	// least Group's. IdentityErr is set when no attempt routed it;
+	// IdentityW and the identity figures are then zero.
+	IdentityW    int
+	IdentityErr  error
+	IdentityBits int     // reconfiguration bits
+	IdentityWire float64 // wirelength relative to MDR
 }
 
-// RunAblation evaluates the identity merge (no combined placement), edge
-// matching and wire-length optimisation on the first group of a suite.
-func RunAblation(s *Suite, sc Scale) (*AblationResult, error) {
+// FirstComparison runs a suite's first group as the Fig. 5 sweep does:
+// the comparison the ablations and the frame outlook summarise.
+func FirstComparison(s *Suite, sc Scale) (*flow.Comparison, error) {
 	if len(s.Groups) == 0 {
 		return nil, fmt.Errorf("experiments: suite %s has no groups", s.Name)
 	}
+	return flow.RunComparison(groupName(s.Name, s.Groups[0]), groupModes(s, s.Groups[0]), s.config(sc))
+}
+
+// RunAblation sets the identity merge against the merges of cmp, the
+// suite's FirstComparison. The identity merge runs on the retry ladder
+// from cmp's region; when no attempt routes it, the result reports that
+// in IdentityErr instead of failing.
+func RunAblation(s *Suite, sc Scale, cmp *flow.Comparison) *AblationResult {
+	res := &AblationResult{Group: summarize(s, s.Groups[0], cmp)}
+	id, region, err := flow.RunDCSIdentity(res.Group.Name, groupModes(s, s.Groups[0]), cmp.Region, s.config(sc))
+	if err != nil {
+		res.IdentityErr = err
+		return res
+	}
+	res.IdentityW, res.IdentityBits, res.IdentityWire = region.Arch.W, id.ReconfigBits, flow.WireRatio(cmp.MDR, id)
+	return res
+}
+
+// RunRelaxAblation reruns a suite's first group with no area or channel
+// slack (relax=1.0) and summarises it as the sweep does, to set against
+// the paper's relax=1.2 of the FirstComparison.
+func RunRelaxAblation(s *Suite, sc Scale) (*GroupResult, error) {
 	cfg := s.config(sc)
-	modes := groupModes(s, s.Groups[0])
-	name := fmt.Sprintf("%s-abl", s.Name)
-
-	region, err := flow.SizeRegion(modes, cfg)
+	cfg.RelaxArea, cfg.RelaxW = 1.0, 1.0
+	cmp, err := flow.RunComparison(groupName(s.Name, s.Groups[0]), groupModes(s, s.Groups[0]), cfg)
 	if err != nil {
 		return nil, err
 	}
-	// All four implementations must share one region; the identity merge
-	// routes worst, so widen until everything fits (same policy as
-	// flow.RunComparison).
-	var (
-		mdr        *flow.MDRResult
-		id, em, wl *flow.DCSResult
-	)
-	for attempt := 0; ; attempt++ {
-		mdr, err = flow.RunMDR(modes, region, cfg)
-		if err == nil {
-			id, err = flow.RunDCSIdentity(name, modes, region, cfg)
-		}
-		if err == nil {
-			em, err = flow.RunDCS(name, modes, region, merge.EdgeMatch, cfg)
-		}
-		if err == nil {
-			wl, err = flow.RunDCS(name, modes, region, merge.WireLength, cfg)
-		}
-		if err == nil {
-			break
-		}
-		if attempt >= 8 {
-			return nil, fmt.Errorf("experiments: ablation %s: %w", name, err)
-		}
-		region = cfg.NewRegion(region.Arch.Width, region.Arch.W+2)
-	}
-	res := &AblationResult{
-		Name:          name,
-		IdentityBits:  id.ReconfigBits,
-		EdgeMatchBits: em.ReconfigBits,
-		WireLenBits:   wl.ReconfigBits,
-		IdentityWire:  flow.WireRatio(mdr, id),
-		EdgeMatchWire: flow.WireRatio(mdr, em),
-		WireLenWire:   flow.WireRatio(mdr, wl),
-	}
-	if mdr.DiffRoutingBits > 0 {
-		res.RegionFactor = float64(region.Graph.NumRoutingBits) / float64(mdr.DiffRoutingBits)
-		res.MergeFactor = float64(mdr.DiffRoutingBits) / float64(wl.TRoute.ParamRoutingBits)
-	}
-	return res, nil
-}
-
-// RelaxAblation measures the effect of the 20% area/channel relaxation by
-// re-running one pair with no slack.
-type RelaxAblation struct {
-	RelaxedSpeedup float64
-	TightSpeedup   float64
-	RelaxedWire    float64
-	TightWire      float64
-}
-
-// RunRelaxAblation compares relax=1.2 (paper) against relax=1.0.
-func RunRelaxAblation(s *Suite, sc Scale) (*RelaxAblation, error) {
-	if len(s.Groups) == 0 {
-		return nil, fmt.Errorf("experiments: suite %s has no groups", s.Name)
-	}
-	run := func(relax float64) (float64, float64, error) {
-		cfg := s.config(sc)
-		cfg.RelaxArea = relax
-		cfg.RelaxW = relax
-		modes := groupModes(s, s.Groups[0])
-		cmp, err := flow.RunComparison("relax", modes, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		return flow.Speedup(cmp.MDR, cmp.WireLen), flow.WireRatio(cmp.MDR, cmp.WireLen), nil
-	}
-	rs, rw, err := run(1.2)
-	if err != nil {
-		return nil, err
-	}
-	ts, tw, err := run(1.0)
-	if err != nil {
-		return nil, err
-	}
-	return &RelaxAblation{RelaxedSpeedup: rs, TightSpeedup: ts, RelaxedWire: rw, TightWire: tw}, nil
+	return summarize(s, s.Groups[0], cmp), nil
 }

@@ -398,6 +398,18 @@ func RunGroup(suite *Suite, group []int, sc Scale) (*GroupResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	res := summarize(suite, group, cmp)
+	if persistent {
+		if data, err := json.Marshal(res); err == nil {
+			sc.Cache.PutArtifact(key, data)
+		}
+	}
+	return res, nil
+}
+
+// summarize renders a group's comparison as the sweep reports it.
+func summarize(suite *Suite, group []int, cmp *flow.Comparison) *GroupResult {
+	modes := groupModes(suite, group)
 	region, mdr, em, wl := cmp.Region, cmp.MDR, cmp.EdgeMatch, cmp.WireLen
 
 	luts := make([]int, len(modes))
@@ -413,7 +425,7 @@ func RunGroup(suite *Suite, group []int, sc Scale) (*GroupResult, error) {
 
 	res := &GroupResult{
 		Suite:    suite.Name,
-		Name:     name,
+		Name:     groupName(suite.Name, group),
 		ModeLUTs: luts,
 		Side:     region.Arch.Width,
 		MinW:     region.MinW,
@@ -443,12 +455,7 @@ func RunGroup(suite *Suite, group []int, sc Scale) (*GroupResult, error) {
 	}
 	sum := cmp.RouteWork()
 	res.RouteIters, res.RerouteConns, res.PeakOveruse = sum.Iterations, sum.Rerouted, sum.PeakOveruse
-	if persistent {
-		if data, err := json.Marshal(res); err == nil {
-			sc.Cache.PutArtifact(key, data)
-		}
-	}
-	return res, nil
+	return res
 }
 
 // Dist is a min/avg/max summary.

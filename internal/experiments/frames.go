@@ -12,59 +12,22 @@ import (
 // the paper's §IV-C1 outlook ("we expect the speed up of routing
 // reconfiguration time to be roughly between 4× and 20×").
 type FrameResult struct {
-	Suite       string
-	FrameSize   int
-	TotalFrames int
-	DiffFrames  int // frames containing bits that differ between MDR configs
-	ParamFrames int // frames containing parameterised DCS bits
-
-	// Routing-reconfiguration speed-ups at the three granularities.
-	BitSpeedup   float64 // routing bits: MDR all vs DCS parameterised
-	FrameSpeedup float64 // frames: all vs parameterised-touched
-	DiffSpeedup  float64 // frames: all vs differing-touched (MDR w/ frames)
+	Suite string
+	frames.Report
+	// BitSpeedup is the routing-bit speed-up: all MDR routing bits over
+	// DCS's parameterised ones.
+	BitSpeedup float64
 }
 
-// RunFrames evaluates the frame model on the first group of a suite.
-func RunFrames(s *Suite, sc Scale, frameSize int) (*FrameResult, error) {
-	if len(s.Groups) == 0 {
-		return nil, fmt.Errorf("experiments: suite %s has no groups", s.Name)
-	}
-	cfg := s.config(sc)
-	modes := groupModes(s, s.Groups[0])
-	cmp, err := flow.RunComparison(s.Name+"-frames", modes, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	// Bits that differ between the MDR configurations of the modes.
-	onCount := map[int32]int{}
-	for _, m := range cmp.MDR.PerMode {
-		for b := range m.UsedBits {
-			onCount[b]++
-		}
-	}
-	var diffBits []int32
-	for b, c := range onCount {
-		if c != len(cmp.MDR.PerMode) {
-			diffBits = append(diffBits, b)
-		}
-	}
-
-	rep := frames.Analyze(cmp.Region.Graph, frameSize, diffBits,
-		cmp.WireLen.TRoute.BitModes, len(modes))
-	res := &FrameResult{
-		Suite:        s.Name,
-		FrameSize:    rep.FrameSize,
-		TotalFrames:  rep.TotalFrames,
-		DiffFrames:   rep.DiffFrames,
-		ParamFrames:  rep.ParamFrames,
-		FrameSpeedup: rep.SpeedupDCS,
-		DiffSpeedup:  rep.SpeedupDiff,
-	}
+// RunFrames evaluates the frame model on cmp, the suite's
+// FirstComparison.
+func RunFrames(s *Suite, cmp *flow.Comparison, frameSize int) *FrameResult {
+	res := &FrameResult{Suite: s.Name, Report: frames.Analyze(cmp.Region.Graph, frameSize,
+		cmp.MDR.DiffBits(), cmp.WireLen.TRoute.BitModes, len(cmp.MDR.PerMode))}
 	if pr := cmp.WireLen.TRoute.ParamRoutingBits; pr > 0 {
 		res.BitSpeedup = float64(cmp.Region.Graph.NumRoutingBits) / float64(pr)
 	}
-	return res, nil
+	return res
 }
 
 // PrintFrames writes the frame-granularity outlook table.
@@ -76,7 +39,7 @@ func PrintFrames(w io.Writer, rows []*FrameResult) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-8s %6d %8d %8d %8d %9.1fx %9.1fx %9.1fx\n",
 			r.Suite, r.FrameSize, r.TotalFrames, r.DiffFrames, r.ParamFrames,
-			r.BitSpeedup, r.FrameSpeedup, r.DiffSpeedup)
+			r.BitSpeedup, r.SpeedupDCS, r.SpeedupDiff)
 	}
 	fmt.Fprintln(w, "(paper predicts the frame-level routing speed-up lands between ~4x and ~20x)")
 }

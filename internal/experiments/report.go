@@ -128,13 +128,28 @@ func WriteGroupReport(w io.Writer, results []*GroupResult) {
 	}
 }
 
-// PrintAblation writes the merge-strategy ablation.
+// PrintAblation writes the merge-strategy ablation. An identity merge
+// that routed on no attempt prints as unroutable, with its error.
 func PrintAblation(w io.Writer, a *AblationResult) {
-	fmt.Fprintf(w, "Ablation %s:\n", a.Name)
-	fmt.Fprintf(w, "  reconfig bits: identity=%d edge-match=%d wire-length=%d\n",
-		a.IdentityBits, a.EdgeMatchBits, a.WireLenBits)
-	fmt.Fprintf(w, "  wire vs MDR:   identity=%.0f%% edge-match=%.0f%% wire-length=%.0f%%\n",
-		100*a.IdentityWire, 100*a.EdgeMatchWire, 100*a.WireLenWire)
-	fmt.Fprintf(w, "  Diff decomposition: region factor %.1fx × merge factor %.1fx\n",
-		a.RegionFactor, a.MergeFactor)
+	g := a.Group
+	fmt.Fprintf(w, "Ablation %s-abl:\n", g.Suite)
+	idW, idBits, idWire := "unroutable", "unroutable", "unroutable"
+	if a.IdentityErr == nil {
+		idW, idBits, idWire = fmt.Sprintf("W=%d", a.IdentityW), fmt.Sprint(a.IdentityBits), fmt.Sprintf("%.0f%%", 100*a.IdentityWire)
+	}
+	fmt.Fprintf(w, "  channel width: identity %s, edge-match and wire-length W=%d\n", idW, g.ChannelW)
+	fmt.Fprintf(w, "  reconfig bits: identity=%s edge-match=%d wire-length=%d\n", idBits, g.EMBits, g.WLBits)
+	fmt.Fprintf(w, "  wire vs MDR:   identity=%s edge-match=%.0f%% wire-length=%.0f%%\n", idWire, 100*g.WireEM, 100*g.WireWL)
+	if a.IdentityErr != nil {
+		fmt.Fprintf(w, "  identity merge: %v\n", a.IdentityErr)
+	}
+	// Diff decomposition (§IV-C1): the total speed-up is the region factor
+	// (MDR routing bits over differing ones) times the merge factor
+	// (differing routing bits over parameterised ones, wire length).
+	region, merge := 0.0, 0.0
+	if g.DiffRoutingBits > 0 {
+		region = float64(g.MDRRoutingBits) / float64(g.DiffRoutingBits)
+		merge = float64(g.DiffRoutingBits) / float64(g.WLRoutingBits)
+	}
+	fmt.Fprintf(w, "  Diff decomposition: region factor %.1fx × merge factor %.1fx\n", region, merge)
 }

@@ -117,12 +117,30 @@ func runComparisonCold(name string, modes []*lutnet.Circuit, cfg Config) (*Compa
 	if err != nil {
 		return nil, err
 	}
+	places := newMemo[dcsKey, *dcsPlacement](0, nil)
+	cmp, err := runColdLadder(cfg, region.Arch.W, func(acfg Config, w int) (*Comparison, error) {
+		return runAttempt(name, modes, region, acfg, w, places)
+	})
+	if err != nil {
+		if cerr := cfg.ctxErr(); cerr != nil {
+			return nil, cerr
+		}
+		return nil, fmt.Errorf("flow: %s: %w", name, err)
+	}
+	cmp.Region.MinW = region.MinW
+	return cmp, nil
+}
+
+// runColdLadder runs the cold retry ladder of run from channel width w0,
+// counting each started attempt's outcome and adopting the traces of
+// those not cancelled. A cancelled cfg.Ctx returns the context's error.
+func runColdLadder[T any](cfg Config, w0 int, run func(acfg Config, w int) (T, error)) (T, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	traces := make([]*obs.Trace, ladderAttempts)
-	cmp, outcomes, err := ladder(ctx, ladderAttempts, &cores, coldRung(name, modes, region, cfg, traces))
+	v, outcomes, err := ladder(ctx, ladderAttempts, &cores, rung(cfg, w0, traces, run))
 	var attempts *obs.CounterVec
 	if cfg.Obs != nil {
 		attempts = cfg.Obs.CounterVec("mm_flow_attempts_total",
@@ -137,23 +155,15 @@ func runComparisonCold(name string, modes []*lutnet.Circuit, cfg Config) (*Compa
 			cfg.Trace.Adopt(traces[k], "attempt", strconv.Itoa(k), "outcome", o)
 		}
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("flow: %s: %w", name, err)
-	}
-	cmp.Region.MinW = region.MinW
-	return cmp, nil
+	return v, err
 }
 
-// coldRung returns the attempt function of one cold ladder over the sized
-// region: attempt k runs on attemptCfg(k), records into traces[k], and
-// shares the ladder's DCS placements with the other attempts.
-func coldRung(name string, modes []*lutnet.Circuit, region *Region, cfg Config, traces []*obs.Trace) func(ctx context.Context, k int, doubt func()) (*Comparison, error) {
-	places := newMemo[dcsKey, *dcsPlacement](0, nil)
-	return func(ctx context.Context, k int, doubt func()) (*Comparison, error) {
-		acfg, w := attemptCfg(cfg, region.Arch.W, k)
+// rung makes attempt k of a cold ladder from channel width w0 call run
+// on attemptCfg(cfg, w0, k), set to stop with the attempt's context, to
+// doubt it once a route stalls, and to record into traces[k].
+func rung[T any](cfg Config, w0 int, traces []*obs.Trace, run func(acfg Config, w int) (T, error)) func(ctx context.Context, k int, doubt func()) (T, error) {
+	return func(ctx context.Context, k int, doubt func()) (T, error) {
+		acfg, w := attemptCfg(cfg, w0, k)
 		acfg.Ctx, acfg.RouteOpts.Ctx = ctx, ctx
 		// An attempt is in doubt once one of its routes has spent half its
 		// iteration budget and is still stalled in full rip-ups. Every
@@ -168,7 +178,7 @@ func coldRung(name string, modes []*lutnet.Circuit, region *Region, cfg Config, 
 		}
 		acfg.Trace = cfg.Trace.Fork()
 		traces[k] = acfg.Trace
-		return runAttempt(name, modes, region, acfg, w, places)
+		return run(acfg, w)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/lutnet"
 	"repro/internal/merge"
+	"repro/internal/route"
 	"repro/internal/store"
 )
 
@@ -384,6 +385,56 @@ func TestDeltaFallsBackCold(t *testing.T) {
 
 	if got := cfg.Cache.Stats().BaselineMisses; got != 5 {
 		t.Fatalf("BaselineMisses = %d, want 5", got)
+	}
+}
+
+// TestDeltaTeleportTreesRouteCold: a stored baseline whose trees join
+// each net's source straight to its sinks — edges no wire of the region
+// provides — must not be taken as routed. The delta compile of the
+// unchanged modes may keep the baseline, but every MDR tree edge it
+// returns is an edge of the region's graph.
+func TestDeltaTeleportTreesRouteCold(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{PlaceEffort: 0.15, Seed: 5, Cache: NewCacheWithStore(st)}
+	mapped, err := MapModes(buildPair(t, 41, 42, 24), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := RunComparison("cold", mapped, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := BuildBaseline(cold, mapped)
+	for m := range b.Modes {
+		for i := range b.Modes[m].Nets {
+			net := cold.MDR.PerMode[m].Nets[i]
+			var teleport []route.Edge
+			for _, sink := range net.Sinks {
+				teleport = append(teleport, route.Edge{From: net.Source, To: sink})
+			}
+			b.Modes[m].Nets[i].Edges = teleport
+		}
+	}
+	key := codec.Sum([]byte("teleport-baseline"))
+	cfg.Cache.PutArtifact(key, mustEncodeBaseline(t, b))
+	dcfg := cfg
+	dcfg.Baseline = key.Hex()
+	delta, err := RunComparison("teleport", mapped, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := delta.Region.Graph
+	for m, pm := range delta.MDR.PerMode {
+		for i, tree := range pm.Routing.Trees {
+			for _, e := range tree.Edges {
+				if !slices.Contains(g.Edges(e.From), e.To) {
+					t.Fatalf("mode %d net %d: tree edge %d->%d is not a graph edge", m, i, e.From, e.To)
+				}
+			}
+		}
 	}
 }
 

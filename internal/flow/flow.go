@@ -17,6 +17,7 @@ package flow
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/arch"
@@ -326,20 +327,32 @@ func implementMode(region *Region, c *lutnet.Circuit, cc place.CircuitCells, pl 
 // aggregateMDR folds per-mode implementations into the MDR metrics.
 func aggregateMDR(region *Region, impls []ModeImpl) *MDRResult {
 	res := &MDRResult{ReconfigBits: region.Graph.TotalConfigBits(), PerMode: impls}
-	bitCount := map[int32]int{} // bit -> number of modes where on
 	for i := range impls {
-		for b := range impls[i].UsedBits {
-			bitCount[b]++
-		}
 		res.AvgWire += float64(impls[i].WireLen)
 	}
 	res.AvgWire /= float64(len(impls))
-	for _, cnt := range bitCount {
-		if cnt != len(impls) {
-			res.DiffRoutingBits++ // on in some but not all modes
+	res.DiffRoutingBits = len(res.DiffBits())
+	return res
+}
+
+// DiffBits returns, in ascending order, the routing bits on in some but
+// not all modes: the bits a Diff reconfiguration rewrites. It is
+// computed from PerMode on every call.
+func (r *MDRResult) DiffBits() []int32 {
+	on := map[int32]int{} // bit -> number of modes where on
+	for i := range r.PerMode {
+		for b := range r.PerMode[i].UsedBits {
+			on[b]++
 		}
 	}
-	return res
+	var diff []int32
+	for b, n := range on {
+		if n != len(r.PerMode) {
+			diff = append(diff, b)
+		}
+	}
+	slices.Sort(diff)
+	return diff
 }
 
 // RunMDR implements every mode separately in the region.

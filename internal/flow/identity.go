@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"fmt"
+
 	"repro/internal/lutnet"
 	"repro/internal/merge"
 	"repro/internal/tunable"
@@ -12,16 +14,47 @@ import (
 // showing the value of the combined-placement merge heuristics. The
 // result's Merge holds the identity assignment and its Tunable circuit
 // but no sites: TPlace places the circuit from scratch.
-func RunDCSIdentity(name string, modes []*lutnet.Circuit, region *Region, cfg Config) (*DCSResult, error) {
+//
+// It runs on the cold retry ladder from the given region, the attempts
+// of a seed sharing one TPlace, and returns the region of the lowest
+// attempt that routed. Otherwise the error names the widths tried.
+func RunDCSIdentity(name string, modes []*lutnet.Circuit, region *Region, cfg Config) (*DCSResult, *Region, error) {
 	cfg = cfg.filled()
 	asg := tunable.Identity(modes)
 	tc, err := tunable.Merge(name, modes, asg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	p, err := tplaceDCS(&merge.Result{Assignment: asg, Tunable: tc}, region.Arch, cfg)
+	mres := &merge.Result{Assignment: asg, Tunable: tc}
+	cores.acquire()
+	defer cores.release()
+	type routed struct {
+		dcs    *DCSResult
+		region *Region
+	}
+	places := newMemo[int64, *dcsPlacement](0, nil)
+	w0 := region.Arch.W
+	r, err := runColdLadder(cfg, w0, func(acfg Config, w int) (routed, error) {
+		p, _, err := places.get(acfg.Ctx, acfg.Seed, func() (*dcsPlacement, error) {
+			return tplaceDCS(mres, region.Arch, acfg)
+		})
+		if err != nil {
+			return routed{}, err
+		}
+		wide := region
+		if w != w0 {
+			wide = acfg.NewRegion(region.Arch.Width, w)
+			wide.MinW = region.MinW
+		}
+		dcs, err := routeDCS(p, wide, "identity", acfg)
+		return routed{dcs, wide}, err
+	})
 	if err != nil {
-		return nil, err
+		if cerr := cfg.ctxErr(); cerr != nil {
+			return nil, nil, cerr
+		}
+		return nil, nil, fmt.Errorf("flow: %s: identity merge routes on no channel width %d-%d (%d attempts): %w",
+			name, w0, w0+2*ladderWidenings, ladderAttempts, err)
 	}
-	return routeDCS(p, region, "identity", cfg)
+	return r.dcs, r.region, nil
 }

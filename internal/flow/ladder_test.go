@@ -453,6 +453,64 @@ func TestLadderWidthByteIdentical(t *testing.T) {
 	}
 }
 
+// TestLadderIdentityLowestRung: the identity merge runs on the cold
+// retry ladder from the region it is given. On the sized region of a
+// pair whose identity merge does not route there, it returns the region
+// of the lowest attempt that routed, every attempt below it having
+// failed, and the same result whether its attempts run one or two at a
+// time.
+func TestLadderIdentityLowestRung(t *testing.T) {
+	circuits := mcncPair(t, 5, 6, 80)
+	cfg := testConfig()
+	sized, err := SizeRegion(circuits, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []*DCSResult
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		tr := obs.NewTrace()
+		tcfg := cfg
+		tcfg.Trace = tr
+		id, region, err := RunDCSIdentity("identity", circuits, sized, tcfg)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		won, failed := -1, map[int]bool{}
+		for _, ev := range chromeEvents(t, tr) {
+			k, err := strconv.Atoi(ev.Args["attempt"])
+			if err != nil {
+				continue // not inside an attempt
+			}
+			switch ev.Args["outcome"] {
+			case outcomeWon:
+				won = k
+			case outcomeFailed:
+				failed[k] = true
+			}
+		}
+		if won < 1 {
+			t.Fatalf("GOMAXPROCS=%d: attempt %d won; the identity merge should fail on the sized region", procs, won)
+		}
+		for k := 0; k < won; k++ {
+			if !failed[k] {
+				t.Fatalf("GOMAXPROCS=%d: attempt %d won, but attempt %d did not fail", procs, won, k)
+			}
+		}
+		if _, w := attemptCfg(cfg.filled(), sized.Arch.W, won); region.Arch.W != w || region.Arch.Width != sized.Arch.Width {
+			t.Fatalf("GOMAXPROCS=%d: routed on side %d W %d, attempt %d's region is side %d W %d",
+				procs, region.Arch.Width, region.Arch.W, won, sized.Arch.Width, w)
+		}
+		results = append(results, id)
+	}
+	a, b := results[0], results[1]
+	if a.ReconfigBits != b.ReconfigBits || a.AvgWire != b.AvgWire || a.TPlaceCost != b.TPlaceCost ||
+		!reflect.DeepEqual(a.TRoute.Route.Trees, b.TRoute.Route.Trees) {
+		t.Fatal("identity ladder at 2 attempts in flight differs from the serial ladder")
+	}
+}
+
 // TestRunComparisonCancelled: a compile whose context is already
 // cancelled returns the context's error — not an unroutable region from
 // probes that stopped early — and a cancelled delta compile is not
@@ -483,11 +541,14 @@ func TestRunComparisonCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	traces := make([]*obs.Trace, ladderAttempts)
-	rung := coldRung("cancelled", circuits, region, cfg, traces)
+	places := newMemo[dcsKey, *dcsPlacement](0, nil)
+	attempt := rung(cfg, region.Arch.W, traces, func(acfg Config, w int) (*Comparison, error) {
+		return runAttempt("cancelled", circuits, region, acfg, w, places)
+	})
 	actx, acancel := context.WithCancel(context.Background())
 	defer acancel()
 	doubts := 0
-	_, err = rung(actx, 0, func() {
+	_, err = attempt(actx, 0, func() {
 		doubts++
 		acancel()
 	})

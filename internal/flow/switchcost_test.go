@@ -73,20 +73,13 @@ func TestIdenticalModesZeroParamBits(t *testing.T) {
 	c := mapped[0]
 	modes := []*lutnet.Circuit{c, c, c}
 
-	region, err := SizeRegion(modes, cfg)
+	sized, err := SizeRegion(modes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var id *DCSResult
-	for attempt := 0; ; attempt++ {
-		id, err = RunDCSIdentity("same", modes, region, cfg)
-		if err == nil {
-			break
-		}
-		if attempt >= 6 {
-			t.Fatal(err)
-		}
-		region = cfg.NewRegion(region.Arch.Width, region.Arch.W+2)
+	id, region, err := RunDCSIdentity("same", modes, sized, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if id.TRoute.ParamRoutingBits != 0 {
 		t.Fatalf("identical 3-mode group has %d parameterised routing bits, want 0",
@@ -121,21 +114,11 @@ func TestDiffSwitchMatrixMatchesDiffCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	region, err := SizeRegion(mapped, cfg)
+	cmp, err := RunComparison("diff", mapped, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mdr *MDRResult
-	for attempt := 0; ; attempt++ {
-		mdr, err = RunMDR(mapped, region, cfg)
-		if err == nil {
-			break
-		}
-		if attempt >= 6 {
-			t.Fatal(err)
-		}
-		region = cfg.NewRegion(region.Arch.Width, region.Arch.W+2)
-	}
+	region, mdr := cmp.Region, cmp.MDR
 	m, err := MDRDiffSwitchMatrix(region, mapped, mdr)
 	if err != nil {
 		t.Fatal(err)

@@ -494,46 +494,31 @@ func CombinedPlace(name string, modes []*lutnet.Circuit, a arch.Arch, opt Option
 	if opt.Effort <= 0 {
 		opt.Effort = 1.0
 	}
-	starts := opt.Starts
-	if starts < 1 {
-		starts = 1
-	}
-	states := make([]*state, starts)
-	costs := make([]float64, starts)
-	seeds := make([]int64, starts)
-	for i := range states {
-		seed := opt.Seed + int64(i)*anneal.StartSeedStride
-		rng := rand.New(rand.NewSource(seed))
+	st, err := anneal.MultiStart(opt.Seed, opt.Starts, func(rng *rand.Rand) (*state, anneal.Config, error) {
 		st, err := newState(modes, a, opt.Objective, rng, opt.Init)
 		if err != nil {
-			return nil, err
+			return nil, anneal.Config{}, err
 		}
 		nCells := 0
 		for _, mi := range st.modes {
 			nCells += mi.numCells()
 		}
-		nNets := st.numNets()
-		if nNets == 0 {
-			nNets = 1
-		}
-		anneal.Run(st, anneal.Config{
+		return st, anneal.Config{
 			Effort:    opt.Effort,
 			Span:      a.Width + a.Height,
 			Cells:     nCells,
-			Nets:      nNets,
+			Nets:      max(st.numNets(), 1),
 			Refine:    opt.Init != nil,
 			WarmStart: opt.Init != nil && opt.WarmStart,
 			Obs:       opt.Obs,
 			Ctx:       opt.Ctx,
-		}, rng)
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			return nil, opt.Ctx.Err()
-		}
-		states[i], costs[i], seeds[i] = st, st.totalCost(), seed
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Pick by post-anneal cost; the (deterministic, rng-free) pin repair
-	// then runs on the winner only, exactly as a single start would.
-	st := states[anneal.BestStart(costs, seeds)]
+	// The (deterministic, rng-free) pin repair runs on the winner only,
+	// exactly as a single start would.
 	repairPins(st, a)
 
 	return extract(name, modes, st)

@@ -132,11 +132,6 @@ func Place(p *Problem, a arch.Arch, opt Options) (*Placement, error) {
 	if opt.Effort <= 0 {
 		opt.Effort = 1.0
 	}
-	starts := opt.Starts
-	if starts < 1 {
-		starts = 1
-	}
-
 	clbSites := a.CLBSites()
 	ioSites := a.IOSites()
 	nCLBCells, nIOCells := 0, 0
@@ -154,17 +149,9 @@ func Place(p *Problem, a arch.Arch, opt Options) (*Placement, error) {
 		return nil, fmt.Errorf("place: %d IO cells exceed %d pad sites", nIOCells, len(ioSites))
 	}
 
-	states := make([]*state, starts)
-	costs := make([]float64, starts)
-	seeds := make([]int64, starts)
-	for i := range states {
-		seed := opt.Seed + int64(i)*anneal.StartSeedStride
-		rng := rand.New(rand.NewSource(seed))
+	st, err := anneal.MultiStart(opt.Seed, opt.Starts, func(rng *rand.Rand) (*state, anneal.Config, error) {
 		st, err := newState(p, clbSites, ioSites, rng, opt.Init)
-		if err != nil {
-			return nil, err
-		}
-		anneal.Run(st, anneal.Config{
+		return st, anneal.Config{
 			Effort:             opt.Effort,
 			Span:               a.Width + a.Height,
 			Cells:              len(p.Cells),
@@ -174,13 +161,11 @@ func Place(p *Problem, a arch.Arch, opt Options) (*Placement, error) {
 			WarmStart:          opt.Init != nil && opt.WarmStart,
 			Obs:                opt.Obs,
 			Ctx:                opt.Ctx,
-		}, rng)
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			return nil, opt.Ctx.Err()
-		}
-		states[i], costs[i], seeds[i] = st, st.totalCost(), seed
+		}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	st := states[anneal.BestStart(costs, seeds)]
 
 	pl := &Placement{SiteOf: make([]arch.Site, len(p.Cells))}
 	for c := range p.Cells {

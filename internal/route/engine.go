@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -240,9 +241,11 @@ func newRouter(g *arch.Graph, nets []Net, opt Options) *router {
 // sink reachable from nr.source by a backward walk over the tree's edges,
 // the connection starts routed on that source-rooted path and clean. A
 // sink the walk cannot resolve — the cell moved, the tree belongs to an
-// older geometry, the edge list is cyclic or out of bounds — leaves its
-// connection dirty, so it simply routes cold. Occupancy for the seeded
-// paths is folded in by the source-parking pass in newRouter.
+// older geometry, the edge list is cyclic — leaves its connection dirty,
+// so it simply routes cold. A tree holding an edge the graph does not
+// have (out of bounds, or two nodes no wire joins) seeds nothing: all of
+// the net's connections route cold. Occupancy for the seeded paths is
+// folded in by the source-parking pass in newRouter.
 func (r *router) seedWarm(nr *netRT, t *Tree) {
 	numNodes := int32(r.g.NumNodes())
 	if nr.source < 0 || nr.source >= numNodes {
@@ -250,7 +253,8 @@ func (r *router) seedWarm(nr *netRT, t *Tree) {
 	}
 	parent := make(map[int32]int32, len(t.Edges))
 	for _, e := range t.Edges {
-		if e.From < 0 || e.From >= numNodes || e.To < 0 || e.To >= numNodes {
+		if e.From < 0 || e.From >= numNodes || e.To < 0 || e.To >= numNodes ||
+			!slices.Contains(r.g.Edges(e.From), e.To) {
 			return
 		}
 		parent[e.To] = e.From

@@ -148,8 +148,8 @@ type Result struct {
 }
 
 // maxStarts bounds CompileRequest.Starts: every start is a full anneal
-// whose state is held until the best is picked, so an unbounded count
-// from the wire would buy unbounded CPU and memory.
+// (only the best state so far is held), so an unbounded count from the
+// wire would buy unbounded CPU.
 const maxStarts = 16
 
 // validate rejects knobs no compile should run with: an unknown objective

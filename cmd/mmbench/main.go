@@ -149,8 +149,9 @@ func main() {
 		fmt.Println()
 		printArea(suites, sc)
 		fmt.Println()
-		cmps := firstComparisons(suites, sc)
-		printAblation(suites, sc, cmps)
+		p := &progress{total: 2*len(suites) + 1}
+		cmps := firstComparisons(suites, sc, p)
+		printAblation(suites, sc, cmps, p)
 		fmt.Println()
 		printFrames(suites, cmps)
 	case "fig5":
@@ -162,9 +163,10 @@ func main() {
 	case "area":
 		printArea(suites, sc)
 	case "ablation":
-		printAblation(suites, sc, firstComparisons(suites, sc))
+		p := &progress{total: 2*len(suites) + 1}
+		printAblation(suites, sc, firstComparisons(suites, sc, p), p)
 	case "frames":
-		printFrames(suites, firstComparisons(suites, sc))
+		printFrames(suites, firstComparisons(suites, sc, &progress{total: len(suites)}))
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
 	}
@@ -239,11 +241,21 @@ func printArea(suites []*experiments.Suite, sc experiments.Scale) {
 	experiments.PrintArea(os.Stdout, rows, c, g, ratio)
 }
 
+// progress numbers the `running` lines of the serial report steps after
+// the sweep, in the sweep's own format.
+type progress struct{ n, total int }
+
+func (p *progress) step(msg string) {
+	p.n++
+	logger.Info("running", "n", p.n, "total", p.total, "group", msg)
+}
+
 // firstComparisons runs each suite's first-group comparison once, for
 // the ablations and the frame outlook to share.
-func firstComparisons(suites []*experiments.Suite, sc experiments.Scale) []*flow.Comparison {
+func firstComparisons(suites []*experiments.Suite, sc experiments.Scale, p *progress) []*flow.Comparison {
 	cmps := make([]*flow.Comparison, len(suites))
 	for i, s := range suites {
+		p.step(experiments.GroupLabel(s, s.Groups[0]) + " comparison")
 		var err error
 		if cmps[i], err = experiments.FirstComparison(s, sc); err != nil {
 			fatal(err)
@@ -252,15 +264,17 @@ func firstComparisons(suites []*experiments.Suite, sc experiments.Scale) []*flow
 	return cmps
 }
 
-func printAblation(suites []*experiments.Suite, sc experiments.Scale, cmps []*flow.Comparison) {
+func printAblation(suites []*experiments.Suite, sc experiments.Scale, cmps []*flow.Comparison, p *progress) {
 	var relaxed *experiments.GroupResult
 	for i, s := range suites {
+		p.step(experiments.GroupLabel(s, s.Groups[0]) + " identity merge")
 		a := experiments.RunAblation(s, sc, cmps[i])
 		experiments.PrintAblation(os.Stdout, a)
 		if i == 0 {
 			relaxed = a.Group
 		}
 	}
+	p.step(experiments.GroupLabel(suites[0], suites[0].Groups[0]) + " relax=1.0")
 	tight, err := experiments.RunRelaxAblation(suites[0], sc)
 	if err != nil {
 		fatal(err)

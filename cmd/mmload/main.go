@@ -29,7 +29,7 @@
 //
 //	mmload -targets http://w1:8433,http://w2:8433 -rps 1000 -duration 10s \
 //	       [-mix warm=0.85,cold=0.05,dedup=0.05,delta=0.05] [-pool 8] \
-//	       [-scrape URLS] [-seed 1] [-bench] [-json]
+//	       [-scrape URLS] [-seed 1] [-json]
 package main
 
 import (
@@ -293,7 +293,6 @@ func main() {
 	maxconc := flag.Int("maxconc", 512, "maximum requests in flight; past it launches are counted as dropped, not queued")
 	reqTimeout := flag.Duration("timeout", 120*time.Second, "per-request timeout")
 	noWarmup := flag.Bool("nowarmup", false, "skip precompiling the warm pool (every class starts cold)")
-	benchOut := flag.Bool("bench", false, "emit go test -bench formatted lines on stdout (for benchjson)")
 	jsonOut := flag.Bool("json", false, "emit the full report as JSON on stdout")
 	flag.Parse()
 
@@ -465,18 +464,6 @@ func main() {
 		"mmload: rate %.0f/s achieved (target %.0f/s), dropped %d, error rate %.4f, fleet warm-hit ratio %.3f\n",
 		achieved, *rps, rec.dropped, errRate, warmHit)
 
-	if *benchOut {
-		for _, c := range classes {
-			r := reports[c]
-			if r.Requests == 0 {
-				continue
-			}
-			fmt.Printf("BenchmarkFleetLoad/%s %d %.3f p50-ms %.3f p95-ms %.3f p99-ms\n",
-				c, r.Requests, r.P50Ms, r.P95Ms, r.P99Ms)
-		}
-		fmt.Printf("BenchmarkFleetLoad/rate %d %.1f rps %.4f error-rate %.4f fleet-warm-hit-ratio\n",
-			overall.Requests, achieved, errRate, warmHit)
-	}
 	if *jsonOut {
 		doc := map[string]any{
 			"target_rps":           *rps,

@@ -38,12 +38,16 @@ type sweepJob struct {
 	index int
 }
 
-func (j sweepJob) describe() string {
-	idx := make([]string, len(j.group))
-	for i, m := range j.group {
+func (j sweepJob) describe() string { return GroupLabel(j.suite, j.group) }
+
+// GroupLabel names group of suite s in progress lines, e.g.
+// "RegExp group (0,1)".
+func GroupLabel(s *Suite, group []int) string {
+	idx := make([]string, len(group))
+	for i, m := range group {
 		idx[i] = fmt.Sprint(m)
 	}
-	return fmt.Sprintf("%s group (%s)", j.suite.Name, strings.Join(idx, ","))
+	return fmt.Sprintf("%s group (%s)", s.Name, strings.Join(idx, ","))
 }
 
 // Run evaluates every selected group of every suite and returns the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/arch"
 	"repro/internal/lutnet"
 	"repro/internal/merge"
 	"repro/internal/obs"
@@ -54,7 +55,9 @@ func (c *Comparison) RouteWork() route.Summary {
 // Attempts of one seed differ only in channel width, which no placement
 // reads, so the ladder places once per seed: the first attempt to need a
 // combined placement and its TPlace refinement computes them, and every
-// other attempt of that seed reuses them.
+// other attempt of that seed reuses them. When a core is idle, a helper
+// computes the first seed's placements while the region is sized (see
+// helper.go); the result is the same.
 //
 // With Config.Baseline set, the compile first attempts the delta path
 // (see delta.go): reuse the baseline's region, transfer its placements
@@ -113,11 +116,12 @@ func attemptCfg(cfg Config, w0, k int) (Config, int) {
 }
 
 func runComparisonCold(name string, modes []*lutnet.Circuit, cfg Config) (*Comparison, error) {
+	places := newMemo[dcsKey, *dcsPlacement](0, nil)
+	defer startHelper(cfg, prefillCold(name, modes, places))()
 	region, err := SizeRegion(modes, cfg)
 	if err != nil {
 		return nil, err
 	}
-	places := newMemo[dcsKey, *dcsPlacement](0, nil)
 	cmp, err := runColdLadder(cfg, region.Arch.W, func(acfg Config, w int) (*Comparison, error) {
 		return runAttempt(name, modes, region, acfg, w, places)
 	})
@@ -131,16 +135,31 @@ func runComparisonCold(name string, modes []*lutnet.Circuit, cfg Config) (*Compa
 	return cmp, nil
 }
 
+// prefillCold returns the cold path's placement helper. Attempts
+// 0..ladderWidenings share the compile's seed, so it places both
+// objectives under that seed, on the logic array sizing will choose:
+// sizing only picks the channel width, which no placement reads.
+func prefillCold(name string, modes []*lutnet.Circuit, places *memo[dcsKey, *dcsPlacement]) func(hcfg Config) {
+	return func(hcfg Config) {
+		side := regionSide(modes, hcfg.RelaxArea)
+		if side == 0 {
+			return // sizing fails
+		}
+		a := arch.New(side, side, minSearchW)
+		for _, obj := range dcsObjectives {
+			places.prefill(hcfg.Ctx, dcsKey{hcfg.Seed, obj}, func(staged func()) (*dcsPlacement, error) {
+				return placeColdDCS(name, modes, a, obj, hcfg, staged)
+			})
+		}
+	}
+}
+
 // runColdLadder runs the cold retry ladder of run from channel width w0,
 // counting each started attempt's outcome and adopting the traces of
 // those not cancelled. A cancelled cfg.Ctx returns the context's error.
 func runColdLadder[T any](cfg Config, w0 int, run func(acfg Config, w int) (T, error)) (T, error) {
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	traces := make([]*obs.Trace, ladderAttempts)
-	v, outcomes, err := ladder(ctx, ladderAttempts, &cores, rung(cfg, w0, traces, run))
+	v, outcomes, err := ladder(cfg.context(), ladderAttempts, &cores, rung(cfg, w0, traces, run))
 	var attempts *obs.CounterVec
 	if cfg.Obs != nil {
 		attempts = cfg.Obs.CounterVec("mm_flow_attempts_total",
@@ -185,8 +204,9 @@ func rung[T any](cfg Config, w0 int, traces []*obs.Trace, run func(acfg Config, 
 // runAttempt is one attempt of the cold ladder: MDR and both DCS flows on
 // the sized region widened to channel width w. The DCS placements come
 // from places, so only the first attempt of a seed merges and runs
-// TPlace; every attempt routes. The context is checked between the
-// flows, so a cancelled attempt does not start the next one.
+// TPlace (or waits for the helper to); every attempt routes. The context
+// is checked between the flows, so a cancelled attempt does not start
+// the next one.
 func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config, w int, places *memo[dcsKey, *dcsPlacement]) (*Comparison, error) {
 	region := sized
 	if w != sized.Arch.W {
@@ -197,16 +217,12 @@ func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config,
 	if cmp.MDR, err = RunMDR(modes, region, cfg); err != nil {
 		return nil, err
 	}
-	for _, obj := range []merge.Objective{merge.EdgeMatch, merge.WireLength} {
+	for _, obj := range dcsObjectives {
 		if err := cfg.ctxErr(); err != nil {
 			return nil, err
 		}
-		p, _, err := places.get(cfg.Ctx, dcsKey{cfg.Seed, obj}, func() (*dcsPlacement, error) {
-			mres, err := placeDCS(name, modes, region.Arch, obj, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return tplaceDCS(mres, region.Arch, cfg)
+		p, _, err := placeShared(cfg, places, dcsKey{cfg.Seed, obj}, []string{"objective", obj.String()}, func() (*dcsPlacement, error) {
+			return placeColdDCS(name, modes, region.Arch, obj, cfg, func() {})
 		})
 		if err != nil {
 			return nil, err
@@ -224,12 +240,17 @@ func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config,
 	return cmp, nil
 }
 
+// dcsObjectives are the DCS flow's combined-placement objectives, in
+// the order a comparison implements them.
+var dcsObjectives = [...]merge.Objective{merge.EdgeMatch, merge.WireLength}
+
 // dcsKey identifies a DCS placement of one cold ladder, shared by its
 // attempts. The attempts of a seed differ only in channel width, which
 // neither the combined placement nor TPlace reads, so a DCS placement is
 // a function of (seed, objective) alone: the first attempt to need one
-// computes it, and any attempt needing it meanwhile waits for that one.
-// The memo lives for one runComparisonCold call.
+// computes it (unless the helper has), and any attempt needing it
+// meanwhile waits for that computation. The memo lives for one
+// runComparisonCold call.
 type dcsKey struct {
 	seed int64
 	obj  merge.Objective

@@ -22,7 +22,7 @@ import (
 // the warm-start temperature, and seeds the routers from the baseline
 // trees so only nets touching moved or edited cells renegotiate. An edit
 // of LUT contents only keeps the baseline's combined placements as they
-// are (see runDCSDelta).
+// are (see placeDCSDelta).
 //
 // Delta results are deterministic (same baseline + same edit + same seed
 // give byte-identical results) but are a different
@@ -89,8 +89,6 @@ func runComparisonDelta(name string, modes []*lutnet.Circuit, cfg Config) (*Comp
 	if len(base.Modes) != len(modes) {
 		return nil, fmt.Errorf("flow: baseline has %d modes, request has %d", len(base.Modes), len(modes))
 	}
-	region := cfg.NewRegion(base.Side, base.W)
-	region.MinW = base.MinW
 
 	// Diff each edited mode against its baseline version once; both the
 	// MDR and the DCS paths consume the same match.
@@ -107,16 +105,32 @@ func runComparisonDelta(name string, modes []*lutnet.Circuit, cfg Config) (*Comp
 		contentOnly = contentOnly && codec.ContentOnly(oldC, c)
 	}
 
+	// The DCS place phase reads the region's logic array only, so the
+	// helper computes both objectives' while the MDR modes route.
+	a := arch.New(base.Side, base.Side, base.W)
+	places := newMemo[merge.Objective, *deltaPlacement](0, nil)
+	phase := func(obj merge.Objective, cfg Config, staged func()) (*deltaPlacement, error) {
+		return placeDCSDelta(name, modes, a, obj, cfg, base, oldCs, diffs, contentOnly, staged)
+	}
+	defer startHelper(cfg, func(hcfg Config) {
+		for _, obj := range dcsObjectives {
+			places.prefill(hcfg.Ctx, obj, func(staged func()) (*deltaPlacement, error) {
+				return phase(obj, hcfg, staged)
+			})
+		}
+	})()
+
+	region := cfg.NewRegion(base.Side, base.W)
+	region.MinW = base.MinW
 	delta := &DeltaStats{UsedBaseline: true}
 	cmp := &Comparison{Region: region, Delta: delta}
-	cmp.MDR, err = runMDRDelta(modes, region, cfg, base, oldCs, diffs, delta)
-	if err == nil {
-		cmp.EdgeMatch, err = runDCSDelta(name, modes, region, merge.EdgeMatch, cfg, base, oldCs, diffs, contentOnly, delta)
+	if cmp.MDR, err = runMDRDelta(modes, region, cfg, base, oldCs, diffs, delta); err != nil {
+		return nil, err
 	}
-	if err == nil {
-		cmp.WireLen, err = runDCSDelta(name, modes, region, merge.WireLength, cfg, base, oldCs, diffs, contentOnly, delta)
+	if cmp.EdgeMatch, err = runDCSDelta(name, modes, region, merge.EdgeMatch, cfg, places, phase, delta); err != nil {
+		return nil, err
 	}
-	if err != nil {
+	if cmp.WireLen, err = runDCSDelta(name, modes, region, merge.WireLength, cfg, places, phase, delta); err != nil {
 		return nil, err
 	}
 	return cmp, nil
@@ -251,30 +265,73 @@ func runMDRDelta(modes []*lutnet.Circuit, region *Region, cfg Config, base *Base
 	return aggregateMDR(region, impls), nil
 }
 
-// runDCSDelta is RunDCS seeded from the baseline combined placement.
-// A content-only edit (every mode equal to its baseline version but for
-// LUT contents, see codec.ContentOnly) inherits that placement as it is:
-// its grouping, sites and TPlace problem are the baseline's, so TPlace
-// refines it exactly as the cold flow does and TRoute reproduces the
-// baseline's trees. Any other edit transfers every mode's cells through
-// the diff onto the baseline's per-mode sites and quenches the combined
-// annealer from there; TPlace then refines at the quench temperature.
-// TRoute runs cold on both paths. When that route fails, the objective
-// is re-annealed cold on the baseline region.
-func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge.Objective, cfg Config, base *Baseline, oldCs []*lutnet.Circuit, diffs []*codec.CircuitDiff, contentOnly bool, delta *DeltaStats) (*DCSResult, error) {
+// deltaPlacement is the place phase of one objective's delta DCS flow
+// (see placeDCSDelta).
+type deltaPlacement struct {
+	// p is the TPlace-refined placement, nil when TPlace failed.
+	p *dcsPlacement
+	// path says how the combined placement was seeded from the
+	// baseline: "inherit" or "delta", as its merge span labels it.
+	path string
+}
+
+// runDCSDelta is RunDCS seeded from the baseline combined placement: the
+// place phase of obj from places (computed by phase, see placeDCSDelta),
+// then TRoute, which runs cold. An error of the place phase fails the
+// delta compile. When TPlace or TRoute fails, the objective is
+// re-annealed cold on the baseline region.
+func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge.Objective, cfg Config, places *memo[merge.Objective, *deltaPlacement], phase func(merge.Objective, Config, func()) (*deltaPlacement, error), delta *DeltaStats) (*DCSResult, error) {
+	dp, sp, err := placeShared(cfg, places, obj, []string{"objective", obj.String()}, func() (*deltaPlacement, error) {
+		return phase(obj, cfg, func() {})
+	})
+	if err != nil {
+		return nil, err
+	}
+	sp.SetLabel("path", dp.path)
+	delta.transferred(cfg.Cache)
+	if dp.p != nil {
+		if res, err := routeDCS(dp.p, region, obj.String(), cfg); err == nil {
+			return res, nil
+		}
+	}
+	// The quench can leave the tunable circuit unroutable on congested
+	// instances: the combined annealer is blind to pin congestion, and a
+	// placement nudged off the baseline can demand the same input pin
+	// twice in ways no channel width fixes. An inherited placement is the
+	// one the baseline routed, so it fails only when the baseline was
+	// placed or routed under another seed or iteration budget. Re-anneal
+	// just this objective from scratch on the baseline region — the MDR
+	// savings and the other objective's delta are kept, and the retry is
+	// deterministic like everything else here.
+	return RunDCS(name, modes, region, obj, cfg)
+}
+
+// placeDCSDelta is the place phase of obj's delta DCS flow on the
+// baseline's logic array a. A content-only edit (every mode equal to its
+// baseline version but for LUT contents, see codec.ContentOnly) inherits
+// the baseline combined placement as it is: its grouping, sites and
+// TPlace problem are the baseline's, so TPlace refines it exactly as the
+// cold flow does and TRoute reproduces the baseline's trees. Any other
+// edit transfers every mode's cells through the diff onto the baseline's
+// per-mode sites and quenches the combined annealer from there; TPlace
+// then refines at the quench temperature. staged is called between the
+// combined placement and TPlace. A TPlace failure is not an error of the
+// phase (the objective falls back to RunDCS) unless cfg.Ctx was
+// cancelled.
+func placeDCSDelta(name string, modes []*lutnet.Circuit, a arch.Arch, obj merge.Objective, cfg Config, base *Baseline, oldCs []*lutnet.Circuit, diffs []*codec.CircuitDiff, contentOnly bool, staged func()) (*deltaPlacement, error) {
 	bm := &base.Merges[obj]
 	if len(bm.ModeSites) != len(modes) {
 		return nil, fmt.Errorf("flow: baseline %s merge has %d modes, request has %d", obj, len(bm.ModeSites), len(modes))
 	}
 	if contentOnly {
 		sp := cfg.Trace.Start("merge", "objective", obj.String(), "path", "inherit")
-		mres, err := merge.FromModeSites(name, modes, region.Arch, obj, bm.ModeSites)
+		mres, err := merge.FromModeSites(name, modes, a, obj, bm.ModeSites)
 		sp.End()
 		// Sites that no longer fit the modes or the region fall through
 		// to the transfer path, which re-places what does not fit.
 		if err == nil {
-			delta.transferred(cfg.Cache)
-			return finishDCSDelta(name, modes, region, obj, mres, cfg, cfg)
+			staged()
+			return refineDCSDelta(mres, a, "inherit", cfg)
 		}
 	}
 	inits := make([][]arch.Site, len(modes))
@@ -290,14 +347,14 @@ func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge
 		} else {
 			match = matchVector(diffs[m], oldCs[m], c)
 		}
-		init, _, err := place.TransferInit(prob, region.Arch, match, bm.ModeSites[m])
+		init, _, err := place.TransferInit(prob, a, match, bm.ModeSites[m])
 		if err != nil {
 			return nil, fmt.Errorf("flow: delta %s merge mode %d: %w", obj, m, err)
 		}
 		inits[m] = init
 	}
 	sp := cfg.Trace.Start("merge", "objective", obj.String(), "path", "delta")
-	mres, err := merge.CombinedPlace(name, modes, region.Arch, merge.Options{
+	mres, err := merge.CombinedPlace(name, modes, a, merge.Options{
 		Seed: cfg.Seed, Effort: cfg.PlaceEffort, Objective: obj,
 		Init: inits, WarmStart: true,
 		Obs: cfg.Obs, Ctx: cfg.Ctx,
@@ -306,34 +363,26 @@ func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge
 	if err != nil {
 		return nil, err
 	}
-	delta.transferred(cfg.Cache)
+	staged()
 	// TPlace normally refines the combined placement at the refinement
 	// temperature; in the delta path the topology it refines was already
 	// TPlace-refined in the baseline, so open at the warm-start quench
 	// temperature instead (a caller-set fraction still wins).
-	qcfg := cfg
-	if qcfg.RefineTempFraction == 0 {
-		qcfg.RefineTempFraction = anneal.QuenchTempFraction
+	if cfg.RefineTempFraction == 0 {
+		cfg.RefineTempFraction = anneal.QuenchTempFraction
 	}
-	return finishDCSDelta(name, modes, region, obj, mres, qcfg, cfg)
+	return refineDCSDelta(mres, a, "delta", cfg)
 }
 
-// finishDCSDelta refines a delta combined placement with TPlace under
-// tcfg and routes it, falling back to RunDCS under cfg when either fails.
-func finishDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge.Objective, mres *merge.Result, tcfg, cfg Config) (*DCSResult, error) {
-	if p, err := tplaceDCS(mres, region.Arch, tcfg); err == nil {
-		if res, err := routeDCS(p, region, obj.String(), tcfg); err == nil {
-			return res, nil
+// refineDCSDelta runs TPlace on a delta combined placement seeded by
+// path.
+func refineDCSDelta(mres *merge.Result, a arch.Arch, path string, cfg Config) (*deltaPlacement, error) {
+	p, err := tplaceDCS(mres, a, cfg)
+	if err != nil {
+		if cerr := cfg.ctxErr(); cerr != nil {
+			return nil, cerr
 		}
+		p = nil
 	}
-	// The quench can leave the tunable circuit unroutable on congested
-	// instances: the combined annealer is blind to pin congestion, and a
-	// placement nudged off the baseline can demand the same input pin
-	// twice in ways no channel width fixes. An inherited placement is the
-	// one the baseline routed, so it fails only when the baseline was
-	// placed or routed under another seed or iteration budget. Re-anneal
-	// just this objective from scratch on the baseline region — the MDR
-	// savings and the other objective's delta are kept, and the retry is
-	// deterministic like everything else here.
-	return RunDCS(name, modes, region, obj, cfg)
+	return &deltaPlacement{p: p, path: path}, nil
 }

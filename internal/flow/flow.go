@@ -86,6 +86,15 @@ type Config struct {
 	Ctx context.Context
 }
 
+// context returns the compile context, or a background context when
+// there is none.
+func (c Config) context() context.Context {
+	if c.Ctx == nil {
+		return context.Background()
+	}
+	return c.Ctx
+}
+
 // ctxErr returns the compile context's error, nil without a context.
 func (c Config) ctxErr() error {
 	if c.Ctx == nil {
@@ -400,11 +409,7 @@ type DCSResult struct {
 // TRoute.
 func RunDCS(name string, modes []*lutnet.Circuit, region *Region, obj merge.Objective, cfg Config) (*DCSResult, error) {
 	cfg = cfg.filled()
-	mres, err := placeDCS(name, modes, region.Arch, obj, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p, err := tplaceDCS(mres, region.Arch, cfg)
+	p, err := placeColdDCS(name, modes, region.Arch, obj, cfg, func() {})
 	if err != nil {
 		return nil, err
 	}
@@ -420,6 +425,18 @@ type dcsPlacement struct {
 	merge              *merge.Result
 	lutSites, padSites []arch.Site
 	cost               float64
+}
+
+// placeColdDCS is the cold DCS place phase of the modes under obj: the
+// combined placement, then — after calling staged — its TPlace
+// refinement.
+func placeColdDCS(name string, modes []*lutnet.Circuit, a arch.Arch, obj merge.Objective, cfg Config, staged func()) (*dcsPlacement, error) {
+	mres, err := placeDCS(name, modes, a, obj, cfg)
+	if err != nil {
+		return nil, err
+	}
+	staged()
+	return tplaceDCS(mres, a, cfg)
 }
 
 // placeDCS is the cold combined placement of the modes under obj.

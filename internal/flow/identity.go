@@ -17,10 +17,19 @@ import (
 //
 // It runs on the cold retry ladder from the given region, the attempts
 // of a seed sharing one TPlace, and returns the region of the lowest
-// attempt that routed. Otherwise the error names the widths tried.
+// attempt that routed. Otherwise the error names the widths tried. An
+// identity merge with more pad groups than the region has pad sites
+// fails at once, before any rung.
 func RunDCSIdentity(name string, modes []*lutnet.Circuit, region *Region, cfg Config) (*DCSResult, *Region, error) {
 	cfg = cfg.filled()
 	asg := tunable.Identity(modes)
+	// The identity merge gives inputs and outputs pad groups of their
+	// own, so it can need more pads than any one mode, and than the
+	// region has; no channel width changes that.
+	if pads := asg.NumPadGroups; pads > region.Arch.NumIOSites() {
+		return nil, nil, fmt.Errorf("flow: %s: identity merge does not fit the region: %d pad groups for %d pad sites",
+			name, pads, region.Arch.NumIOSites())
+	}
 	tc, err := tunable.Merge(name, modes, asg)
 	if err != nil {
 		return nil, nil, err

@@ -441,12 +441,7 @@ func TestLadderWidthByteIdentical(t *testing.T) {
 		if overlap := attemptsOverlap(evs); overlap != (procs > 1) {
 			t.Fatalf("GOMAXPROCS=%d: attempts overlapping in time = %v", procs, overlap)
 		}
-		buf := mustEncodeBaseline(t, BuildBaseline(cmp, circuits))
-		buf = fmt.Appendf(buf, "%d %d %d %d %v %v %d %d",
-			cmp.Region.Arch.W, cmp.Region.MinW, cmp.MDR.ReconfigBits, cmp.MDR.DiffRoutingBits,
-			cmp.EdgeMatch.AvgWire, cmp.WireLen.AvgWire,
-			cmp.EdgeMatch.ReconfigBits, cmp.WireLen.ReconfigBits)
-		encoded = append(encoded, buf)
+		encoded = append(encoded, comparisonBytes(t, cmp, circuits))
 	}
 	if codec.Sum(encoded[0]) != codec.Sum(encoded[1]) {
 		t.Fatal("comparison at 2 attempts in flight differs from the serial ladder")
@@ -508,6 +503,40 @@ func TestLadderIdentityLowestRung(t *testing.T) {
 	if a.ReconfigBits != b.ReconfigBits || a.AvgWire != b.AvgWire || a.TPlaceCost != b.TPlaceCost ||
 		!reflect.DeepEqual(a.TRoute.Route.Trees, b.TRoute.Route.Trees) {
 		t.Fatal("identity ladder at 2 attempts in flight differs from the serial ladder")
+	}
+}
+
+// TestIdentityPadsDoNotFit: an identity merge with more pad groups than
+// the region has pad sites — a 40-input AND next to a 2-input XOR
+// driving 40 outputs, whose inputs and outputs the identity merge keeps
+// on separate pads — fails at once with both counts, on no ladder rung.
+func TestIdentityPadsDoNotFit(t *testing.T) {
+	wide := netlist.NewBuilder("wide-in")
+	wide.Output("o", wide.And(wide.InputVector("in", 40)...))
+	fan := netlist.NewBuilder("wide-out")
+	in := fan.InputVector("in", 2)
+	x := fan.Xor(in[0], in[1])
+	for o := 0; o < 40; o++ {
+		fan.Output(fmt.Sprintf("o[%d]", o), x)
+	}
+	cfg := testConfig()
+	circuits, err := MapModes([]*netlist.Netlist{wide.N, fan.N}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := SizeRegion(circuits, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace()
+	cfg.Trace = tr
+	_, _, err = RunDCSIdentity("pads", circuits, region, cfg)
+	want := fmt.Sprintf("identity merge does not fit the region: 80 pad groups for %d pad sites", region.Arch.NumIOSites())
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to contain %q", err, want)
+	}
+	if spans := tr.SpanNames(); len(spans) != 0 {
+		t.Fatalf("a merge that cannot fit ran stages %v", spans)
 	}
 }
 

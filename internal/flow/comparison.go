@@ -221,7 +221,7 @@ func runAttempt(name string, modes []*lutnet.Circuit, sized *Region, cfg Config,
 		if err := cfg.ctxErr(); err != nil {
 			return nil, err
 		}
-		p, _, err := placeShared(cfg, places, dcsKey{cfg.Seed, obj}, []string{"objective", obj.String()}, func() (*dcsPlacement, error) {
+		p, _, err := placeShared(cfg, places, dcsKey{cfg.Seed, obj}, obj, func() (*dcsPlacement, error) {
 			return placeColdDCS(name, modes, region.Arch, obj, cfg, func() {})
 		})
 		if err != nil {

@@ -281,7 +281,7 @@ type deltaPlacement struct {
 // delta compile. When TPlace or TRoute fails, the objective is
 // re-annealed cold on the baseline region.
 func runDCSDelta(name string, modes []*lutnet.Circuit, region *Region, obj merge.Objective, cfg Config, places *memo[merge.Objective, *deltaPlacement], phase func(merge.Objective, Config, func()) (*deltaPlacement, error), delta *DeltaStats) (*DCSResult, error) {
-	dp, sp, err := placeShared(cfg, places, obj, []string{"objective", obj.String()}, func() (*deltaPlacement, error) {
+	dp, sp, err := placeShared(cfg, places, obj, obj, func() (*deltaPlacement, error) {
 		return phase(obj, cfg, func() {})
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 
+	"repro/internal/merge"
 	"repro/internal/obs"
 )
 
@@ -49,12 +50,12 @@ func startHelper(cfg Config, fill func(hcfg Config)) (join func()) {
 // placeShared returns the placement of k from places, computing it with
 // compute when neither a caller nor the helper has begun to; compute
 // records its own merge and tplace spans. The first caller to take a
-// placement the helper computes records them instead: a merge span,
-// labelled with mergeKV, over its wait for the helper's first stage and
-// a tplace span over its wait for the rest, both labelled prefetched.
+// placement the helper computes records them instead: a merge span of
+// objective obj over its wait for the helper's first stage and a tplace
+// span over its wait for the rest, both labelled prefetched.
 // The merge span is returned (nil when there is none) for the caller
 // to label with what the helper did.
-func placeShared[K comparable, V any](cfg Config, places *memo[K, V], k K, mergeKV []string, compute func() (V, error)) (V, *obs.Span, error) {
+func placeShared[K comparable, V any](cfg Config, places *memo[K, V], k K, obj merge.Objective, compute func() (V, error)) (V, *obs.Span, error) {
 	ctx := cfg.context()
 	e, created, staged := places.claim(k)
 	if created {
@@ -63,7 +64,7 @@ func placeShared[K comparable, V any](cfg Config, places *memo[K, V], k K, merge
 	}
 	var sp *obs.Span
 	if staged != nil {
-		sp = cfg.Trace.Start("merge", append(mergeKV, "prefetched", "true")...)
+		sp = cfg.Trace.Start("merge", "objective", obj.String(), "prefetched", "true")
 		select {
 		case <-staged:
 		case <-ctx.Done():

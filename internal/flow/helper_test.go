@@ -53,6 +53,12 @@ func checkPoolIdle(t *testing.T) {
 	}
 }
 
+// helperRuns bounds the runs a test makes to see the placement helper
+// serve the placements it expects. The helper races the compile for each
+// memo entry, and on a loaded machine its goroutine can start after the
+// compile has claimed one; every run must still return the serial result.
+const helperRuns = 5
+
 // TestHelperByteIdentical: a comparison that needs a widening is
 // byte-identical whether its DCS placements come from the placement
 // helper (GOMAXPROCS=2, a core idle) or from the attempts themselves
@@ -71,30 +77,36 @@ func TestHelperByteIdentical(t *testing.T) {
 		{"GOMAXPROCS=2", 2, false, true},
 		{"GOMAXPROCS=2, pool saturated", 2, true, false},
 	} {
-		prev := runtime.GOMAXPROCS(c.procs)
-		if c.saturated {
-			cores.acquire() // another compile holds the second core
-		}
-		tr := obs.NewTrace()
-		cfg := testConfig()
-		cfg.Trace = tr
-		cmp, err := RunComparison("helper", circuits, cfg)
-		if c.saturated {
-			cores.release()
-		}
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		checkPoolIdle(t)
 		want := map[string]int{}
 		if c.helped {
 			want = map[string]int{"merge": 2, "tplace": 2}
 		}
-		if got := prefetchedSpans(t, tr); fmt.Sprint(got) != fmt.Sprint(want) {
+		var got map[string]int
+		for run := 0; run < helperRuns; run++ {
+			prev := runtime.GOMAXPROCS(c.procs)
+			if c.saturated {
+				cores.acquire() // another compile holds the second core
+			}
+			tr := obs.NewTrace()
+			cfg := testConfig()
+			cfg.Trace = tr
+			cmp, err := RunComparison("helper", circuits, cfg)
+			if c.saturated {
+				cores.release()
+			}
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			checkPoolIdle(t)
+			sums = append(sums, codec.Sum(comparisonBytes(t, cmp, circuits)))
+			if got = prefetchedSpans(t, tr); !c.helped || fmt.Sprint(got) == fmt.Sprint(want) {
+				break
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: prefetched spans %v, want %v", c.name, got, want)
 		}
-		sums = append(sums, codec.Sum(comparisonBytes(t, cmp, circuits)))
 	}
 	for i := 1; i < len(sums); i++ {
 		if sums[i] != sums[0] {
@@ -120,7 +132,9 @@ func TestHelperDeltaStatsExact(t *testing.T) {
 		var first []byte
 		var firstStats DeltaStats
 		var firstTransfers uint64
-		for _, procs := range []int{1, 2} {
+		helped := false
+		for run := 0; !helped && run <= helperRuns; run++ {
+			procs := min(run+1, 2)
 			prev := runtime.GOMAXPROCS(procs)
 			tr := obs.NewTrace()
 			cfg := fx.cfg
@@ -135,15 +149,17 @@ func TestHelperDeltaStatsExact(t *testing.T) {
 			if cmp.Delta == nil || !cmp.Delta.UsedBaseline {
 				t.Fatalf("%s, GOMAXPROCS=%d: delta path not taken: %+v", name, procs, cmp.Delta)
 			}
-			if got := prefetchedSpans(t, tr)["merge"]; (got > 0) != (procs > 1) {
-				t.Fatalf("%s, GOMAXPROCS=%d: %d prefetched merge spans", name, procs, got)
-			}
+			prefetched := prefetchedSpans(t, tr)["merge"]
 			transfers := cfg.Cache.Stats().PlaceTransfers - before
 			enc := comparisonBytes(t, cmp, modes)
 			if procs == 1 {
+				if prefetched > 0 {
+					t.Fatalf("%s, GOMAXPROCS=1: %d prefetched merge spans", name, prefetched)
+				}
 				first, firstStats, firstTransfers = enc, *cmp.Delta, transfers
 				continue
 			}
+			helped = prefetched > 0
 			if *cmp.Delta != firstStats || transfers != firstTransfers {
 				t.Fatalf("%s: with the helper DeltaStats %+v and %d cache transfers, without %+v and %d",
 					name, *cmp.Delta, transfers, firstStats, firstTransfers)
@@ -151,6 +167,9 @@ func TestHelperDeltaStatsExact(t *testing.T) {
 			if codec.Sum(enc) != codec.Sum(first) {
 				t.Fatalf("%s: delta comparison with the helper differs from the serial one", name)
 			}
+		}
+		if !helped {
+			t.Fatalf("%s: the helper served no placement in %d runs at GOMAXPROCS=2", name, helperRuns)
 		}
 	}
 }
@@ -196,18 +215,22 @@ func TestHelperPlacementErrorReadsSerial(t *testing.T) {
 	if want == nil || !strings.Contains(want.Error(), "exceed max") {
 		t.Fatalf("serial attempt: err = %v, want the mode-count error", want)
 	}
-	places := newMemo[dcsKey, *dcsPlacement](0, nil)
-	join := startHelper(cfg, prefillCold("wide", modes, places))
-	tcfg := cfg
-	tcfg.Trace = obs.NewTrace()
-	_, got := runAttempt("wide", modes, region, tcfg, region.Arch.W, places)
-	join()
-	checkPoolIdle(t)
-	if got == nil || got.Error() != want.Error() {
-		t.Fatalf("attempt through the helper: err = %v, serial %v", got, want)
+	prefetched := 0
+	for run := 0; prefetched == 0 && run < helperRuns; run++ {
+		places := newMemo[dcsKey, *dcsPlacement](0, nil)
+		join := startHelper(cfg, prefillCold("wide", modes, places))
+		tcfg := cfg
+		tcfg.Trace = obs.NewTrace()
+		_, got := runAttempt("wide", modes, region, tcfg, region.Arch.W, places)
+		join()
+		checkPoolIdle(t)
+		if got == nil || got.Error() != want.Error() {
+			t.Fatalf("attempt through the helper: err = %v, serial %v", got, want)
+		}
+		prefetched = prefetchedSpans(t, tcfg.Trace)["merge"]
 	}
-	if n := prefetchedSpans(t, tcfg.Trace)["merge"]; n != 1 {
-		t.Fatalf("%d prefetched merge spans, want 1: the attempt did not wait for the helper", n)
+	if prefetched != 1 {
+		t.Fatalf("%d prefetched merge spans, want 1: the attempt did not wait for the helper", prefetched)
 	}
 
 	// A baseline whose edge-match merge lost a mode fails that
